@@ -8,7 +8,19 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
+
 namespace sgs::bench {
+
+// A flag the bench never read is a typo, not a default: names each one on
+// stderr and returns true, so main() exits 2 before running anything.
+inline bool reject_unknown_flags(const CliArgs& args) {
+  const std::vector<std::string> unknown = args.unused();
+  for (const std::string& flag : unknown) {
+    std::fprintf(stderr, "unknown flag --%s (try --help)\n", flag.c_str());
+  }
+  return !unknown.empty();
+}
 
 // Fixed-width ASCII table printer.
 class Table {

@@ -32,9 +32,7 @@
 // Emits BENCH_network.json (flat key/value) for trend tracking; see
 // docs/BENCHMARKS.md for the schema and how CI consumes it.
 //
-//   ./bench_network [--scene train] [--frames 8] [--model_scale 0.02]
-//                   [--res_scale 0.25] [--arc 0.03]
-//                   [--out BENCH_network.json]
+// Flags: see kUsage below (`--help` prints it).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -57,6 +55,22 @@
 #include "stream/streaming_loader.hpp"
 
 namespace {
+
+constexpr const char* kUsage = R"(bench_network — ABR over simulated links: bit-exactness and PSNR frontier
+
+  --scene <name>     scene preset (default train)
+  --frames <n>       walkthrough frames (default 8)
+  --model_scale <f>  fraction of the preset model (default 0.02)
+  --res_scale <f>    fraction of the preset resolution (default 0.25)
+  --arc <f>          orbit fraction the walkthrough covers (default 0.03)
+  --out <path>       JSON output (default BENCH_network.json)
+  --help             this text
+
+Gates (exit non-zero on failure): local and perfect-link passes
+bit-identical, PSNR monotone along lossy -> constrained -> fast, zero
+stall frames on the constrained link, ABR demotions on both limited links.
+Unknown flags exit 2.
+)";
 
 std::vector<sgs::gs::Camera> make_trajectory(sgs::scene::ScenePreset preset,
                                              int w, int h, int frames,
@@ -91,6 +105,10 @@ struct NetPass {
 int main(int argc, char** argv) {
   using namespace sgs;
   CliArgs args(argc, argv);
+  if (args.has("help")) {
+    std::printf("%s", kUsage);
+    return 0;
+  }
   const auto preset = scene::preset_from_name(args.get("scene", "train"));
   const int frames = args.get_int("frames", 8);
   const float model_scale =
@@ -99,6 +117,7 @@ int main(int argc, char** argv) {
       static_cast<float>(args.get_double("res_scale", 0.25));
   const float arc = static_cast<float>(args.get_double("arc", 0.03));
   const std::string out_path = args.get("out", "BENCH_network.json");
+  if (bench::reject_unknown_flags(args)) return 2;
   const std::string store_path = "/tmp/bench_network.sgsc";
 
   bench::print_header("network streaming: ABR over simulated links",

@@ -73,6 +73,7 @@ constexpr const char* kUsage = R"(bench_serve — pool-multiplexed serving at sc
 Gates (exit non-zero on failure): golden bit-exactness + reuse, multiplexed
 bit-exactness vs baseline, fairness >= 0.9, p99 <= factor * p50, throughput
 >= 0.9x baseline at >= 16 sessions, zero-stall (0 stalls, >= 28 dB).
+Unknown flags exit 2.
 
 Note on the scale-out budget: with one thread per session, all N sessions
 hold plan pins at once, and pins legally overshoot the cache budget — the
@@ -115,6 +116,7 @@ int main(int argc, char** argv) {
   const int max_concurrent = args.get_int("max_concurrent", 0);
   const double p99_factor = args.get_double("p99_factor", 32.0);
   const std::string out_path = args.get("out", "BENCH_serve.json");
+  if (bench::reject_unknown_flags(args)) return 2;
 
   bench::print_header("multi-session serving: multiplexed scale-out",
                       "bit-identical sessions, fairness, shared residency");
@@ -270,9 +272,7 @@ int main(int argc, char** argv) {
     mux = server.run(paths);
     const double secs = seconds_since(t0);
     mux_fps = secs > 0.0 ? static_cast<double>(sessions * frames) / secs : 0.0;
-    for (std::uint32_t k = 0; k < server.scene_count(); ++k) {
-      budget_sum += server.shard_budget_bytes(k);
-    }
+    for (const std::uint64_t b : server.shard_budgets()) budget_sum += b;
   }
   const serve::ServerReport& rep = mux.report;
 

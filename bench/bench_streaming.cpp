@@ -27,12 +27,9 @@
 // Emits BENCH_streaming.json (flat key/value) for trend tracking; see
 // docs/BENCHMARKS.md for the schema and how CI consumes it.
 //
-//   ./bench_streaming [--scene train] [--frames 8] [--model_scale 0.02]
-//                     [--res_scale 0.25] [--arc 0.03] [--budget_kb 0]
-//                     [--out BENCH_streaming.json] [--trace_out trace.json]
-//
-// --budget_kb 0 picks a budget of ~35% of the store's decoded bytes, small
-// enough to force eviction traffic on every preset.
+// Flags: see kUsage below (`--help` prints it). --budget_kb 0 picks a
+// budget of ~35% of the store's decoded bytes, small enough to force
+// eviction traffic on every preset.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -54,6 +51,24 @@
 #include "stream/streaming_loader.hpp"
 
 namespace {
+
+constexpr const char* kUsage = R"(bench_streaming — out-of-core streaming: resident vs cache-backed vs LOD
+
+  --scene <name>      scene preset (default train)
+  --frames <n>        walkthrough frames (default 8)
+  --model_scale <f>   fraction of the preset model (default 0.02)
+  --res_scale <f>     fraction of the preset resolution (default 0.25)
+  --arc <f>           orbit fraction the walkthrough covers (default 0.03)
+  --budget_kb <n>     cache budget in KiB (0 = 35% of the decoded store)
+  --out <path>        JSON output (default BENCH_streaming.json)
+  --trace_out <path>  export the traced pass as Chrome Trace Event JSON
+  --help              this text
+
+Gates (exit non-zero on failure): out-of-core and traced passes
+bit-identical to resident, adaptive LOD saves >= 30% of fetched bytes at
+>= 30 dB, tracing overhead within budget, zero-stall pass never stalls.
+Unknown flags exit 2.
+)";
 
 std::vector<sgs::gs::Camera> make_trajectory(sgs::scene::ScenePreset preset,
                                              int w, int h, int frames,
@@ -78,6 +93,10 @@ double now_ms() {
 int main(int argc, char** argv) {
   using namespace sgs;
   CliArgs args(argc, argv);
+  if (args.has("help")) {
+    std::printf("%s", kUsage);
+    return 0;
+  }
   const auto preset = scene::preset_from_name(args.get("scene", "train"));
   const int frames = args.get_int("frames", 8);
   const float model_scale = static_cast<float>(args.get_double("model_scale", 0.02));
@@ -87,6 +106,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(args.get_int("budget_kb", 0));
   const std::string out_path = args.get("out", "BENCH_streaming.json");
   const std::string trace_out = args.get("trace_out", "");
+  if (bench::reject_unknown_flags(args)) return 2;
   const std::string store_path = "/tmp/bench_streaming.sgsc";
 
   bench::print_header("out-of-core streaming: resident vs cache-backed vs LOD",

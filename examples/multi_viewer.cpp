@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
                 format_bytes(static_cast<double>(st.payload_bytes_total()))
                     .c_str(),
                 st.group_count(),
-                format_bytes(static_cast<double>(server.shard_budget_bytes(k)))
+                format_bytes(static_cast<double>(server.shard_budgets()[k]))
                     .c_str());
   }
   std::printf("shared budget %s across %u scene%s%s%s",

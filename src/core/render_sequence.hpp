@@ -15,11 +15,12 @@
 // single viewer — render() must be called sequentially on one instance
 // (its cached plan and scheduler arenas are not guarded). Distinct
 // instances render concurrently; that is how serve::SceneServer hosts N
-// sessions, each with its own SequenceRenderer over one shared,
-// thread-safe cache. When a `source` is supplied, every frame is
-// bracketed: begin_frame(intent, plan_voxels) before rendering — the
-// source pins the plan's candidate working set against eviction and may
-// prefetch ahead — and end_frame() after, which drops exactly those pins.
+// sessions, each with its own SequenceRenderer and stream::StreamingLoader
+// over one shared, thread-safe cache. When a `source` is supplied, every
+// frame is bracketed: begin_frame(intent, plan_voxels) before rendering —
+// the loader pins the plan's candidate working set against eviction,
+// selects tiers and prefetches ahead — and end_frame() after, which drops
+// exactly those pins.
 // The source's counter deltas over that window land in the result's
 // trace.cache, and frame_wall_ns carries the frame's wall-clock latency
 // for server-side p50/p95 aggregation.
@@ -74,9 +75,9 @@ struct SequenceStats {
 class SequenceRenderer {
  public:
   // `source` selects where voxel groups come from: nullptr renders fully
-  // resident from `scene`; a cache-backed source (stream::ResidencyCache or
-  // stream::StreamingLoader) renders out of core against `scene`'s grid +
-  // layout metadata (e.g. an AssetStore::make_scene() scene). The renderer
+  // resident from `scene`; a stream::StreamingLoader renders out of core
+  // against `scene`'s grid + layout metadata (e.g. an
+  // AssetStore::make_scene() scene). The renderer
   // brackets every frame with the source's begin_frame/end_frame — passing
   // the camera, the reuse envelope as the motion hint, and the plan's
   // candidate working set — and publishes the source's per-frame counter

@@ -124,10 +124,10 @@ struct StreamCacheStats {
   // run past the frame's deadline is served from the cache's pinned coarse
   // floor (or a stale resident tier) instead of blocking — counted as a
   // hit at the served tier, with the fallback recorded here exactly once
-  // per (frame, group) by the frame-aware front-ends (StreamingLoader /
-  // serve::SessionSource), so per-session counters sum to the shared
-  // cache's global value. A subset of hits; zero with a generous deadline,
-  // a disabled floor, or a single-tier store.
+  // per (frame, group) by the stream::StreamingLoader that served it, so
+  // per-session counters sum to the shared cache's global value. A subset
+  // of hits; zero with a generous deadline, a disabled floor, or a
+  // single-tier store.
   std::uint64_t coarse_fallbacks = 0;
 
   // Network-backed streaming (trace v8). `net_bytes` / `net_stall_ns` are
@@ -139,9 +139,8 @@ struct StreamCacheStats {
   // excluded — the store backend's own stats() carries those).
   // `abr_demotions` counts plan groups demoted below their static-budget
   // tier by the LodPolicy ABR throughput term; it is accounted by the
-  // frame-aware front-ends (StreamingLoader / serve::SessionSource) at
-  // selection time, so the shared cache's own counter stays 0 and a server
-  // report sums the sessions'.
+  // stream::StreamingLoader at selection time, so the shared cache's own
+  // counter stays 0 and a server report sums the sessions'.
   std::uint64_t net_bytes = 0;
   std::uint64_t net_stall_ns = 0;
   std::uint64_t abr_demotions = 0;

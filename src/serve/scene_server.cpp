@@ -22,22 +22,6 @@ double percentile_ms(const obs::LogHistogram& h, double q) {
 
 }  // namespace
 
-const char* session_state_name(SessionState s) {
-  switch (s) {
-    case SessionState::kReady:
-      return "ready";
-    case SessionState::kPlanning:
-      return "planning";
-    case SessionState::kRendering:
-      return "rendering";
-    case SessionState::kCommitting:
-      return "committing";
-    case SessionState::kClosed:
-      return "closed";
-  }
-  return "unknown";
-}
-
 const char* admission_reject_reason_name(AdmissionRejectReason r) {
   switch (r) {
     case AdmissionRejectReason::kSessionCapReached:
@@ -46,93 +30,6 @@ const char* admission_reject_reason_name(AdmissionRejectReason r) {
       return "unknown scene";
   }
   return "unknown";
-}
-
-// ----------------------------------------------------------- SessionSource --
-
-SessionSource::SessionSource(stream::ResidencyCache& cache,
-                             stream::SharedPrefetchQueue& queue,
-                             stream::LodPolicy lod, std::uint32_t scene,
-                             std::atomic<SessionState>* state)
-    : cache_(&cache), queue_(&queue), lod_(lod), scene_(scene), state_(state) {}
-
-void SessionSource::begin_frame(
-    const stream::FrameIntent& intent,
-    std::span<const voxel::DenseVoxelId> plan_voxels) {
-  pinned_.assign(plan_voxels.begin(), plan_voxels.end());
-  cache_->pin_plan(pinned_);
-  // This session's quality knob: tiers for the plan under its own policy,
-  // with the session's own measured link estimate folded into the ABR term
-  // (each session adapts to the throughput IT observed — a congested
-  // viewer demotes without touching its neighbors' fidelity).
-  stream::LodPolicy lod = lod_;
-  if (lod.abr_frame_budget_ns > 0 && lod.link_bandwidth_bytes_per_sec <= 0.0) {
-    lod.link_bandwidth_bytes_per_sec = session_stats_.estimated_bandwidth_bps();
-  }
-  selection_ = stream::select_frame_tiers(cache_->store(), intent, pinned_, lod);
-  for (int t = 0; t < core::kLodTierCount; ++t) {
-    tier_requests_[static_cast<std::size_t>(t)] +=
-        selection_.histogram[static_cast<std::size_t>(t)];
-  }
-  if (selection_.demoted > 0) ++degraded_frames_;
-  session_stats_.record_abr_demotions(selection_.abr_demoted);
-  // Resolve this frame's demand-fetch deadline to an absolute stage-clock
-  // instant: the intent's budget wins over the queue config's default.
-  const std::uint64_t rel =
-      intent.fetch_deadline_ns != stream::kNoFetchDeadline
-          ? intent.fetch_deadline_ns
-          : queue_->config().fetch_deadline_ns;
-  frame_deadline_ns_ = rel == stream::kNoFetchDeadline
-                           ? stream::kNoFetchDeadline
-                           : core::stage_clock_ns() + rel;
-  {
-    std::lock_guard<std::mutex> lk(fallback_mutex_);
-    fallback_seen_.clear();
-  }
-  // Enqueue under the same ABR-adjusted policy the selection used, so the
-  // prefetch ranking and byte cap track this session's link estimate.
-  queue_->enqueue(intent, &session_stats_, &lod, scene_);
-  if (state_ != nullptr) {
-    state_->store(SessionState::kRendering, std::memory_order_relaxed);
-  }
-}
-
-void SessionSource::end_frame() {
-  if (state_ != nullptr) {
-    state_->store(SessionState::kCommitting, std::memory_order_relaxed);
-  }
-  cache_->unpin_plan(pinned_);
-  pinned_.clear();
-}
-
-stream::GroupView SessionSource::acquire(voxel::DenseVoxelId v) {
-  const int tier = selection_.tier_of(v);
-  const stream::AcquireOutcome outcome =
-      cache_->acquire_outcome(v, tier, frame_deadline_ns_);
-  session_stats_.record_acquire(outcome);
-  if (outcome.coarse_fallback) {
-    bool first = false;
-    {
-      std::lock_guard<std::mutex> lk(fallback_mutex_);
-      first = fallback_seen_.insert(v).second;
-    }
-    if (first) {
-      // Once per (frame, group), credited to BOTH scopes from the same
-      // dedup site — per-session coarse_fallbacks sum exactly to the
-      // shared cache's counter.
-      session_stats_.record_coarse_fallback();
-      cache_->record_coarse_fallback();
-      queue_->requeue_urgent(v, static_cast<std::uint8_t>(tier),
-                             &session_stats_, scene_);
-    }
-  }
-  return outcome.view;
-}
-
-void SessionSource::release(voxel::DenseVoxelId v) { cache_->release(v); }
-
-core::StreamCacheStats SessionSource::stats() const {
-  return session_stats_.snapshot();
 }
 
 // ------------------------------------------------------------- SceneServer --
@@ -150,17 +47,16 @@ struct SceneServer::SceneShard {
 
 struct SceneServer::Session {
   Session(int id_, std::uint32_t scene_index, const core::StreamingScene& scene,
-          const core::SequenceOptions& opt, stream::ResidencyCache& cache,
-          stream::SharedPrefetchQueue& queue, const stream::LodPolicy& lod)
+          const core::SequenceOptions& opt, stream::SharedPrefetchQueue& queue,
+          const stream::LodPolicy& lod)
       : id(id_),
-        source(cache, queue, lod, scene_index, &state),
-        renderer(scene, opt, &source) {}
+        loader(queue, lod, scene_index),
+        renderer(scene, opt, &loader) {}
 
   int id = 0;
-  // Frame state machine slot: the source flips the begin/end_frame edges,
-  // the driver holding the session flips the rest.
+  // Frame state machine slot, flipped by the driver holding the session.
   std::atomic<SessionState> state{SessionState::kReady};
-  SessionSource source;
+  stream::StreamingLoader loader;
   core::SequenceRenderer renderer;
   obs::LogHistogram frame_ns;    // frame wall time; O(1) memory per session
   obs::LogHistogram queue_wait;  // scheduler ready-queue wait per frame
@@ -172,6 +68,10 @@ struct SceneServer::Session {
   std::size_t stall_frames = 0;
   std::size_t fallback_frames = 0;
   std::size_t error_frames = 0;
+  // LOD report row: plan-group tier requests over all frames, and frames
+  // whose selection the byte budget demoted below the footprint tier.
+  std::array<std::uint64_t, core::kLodTierCount> tier_requests{};
+  std::size_t degraded_frames = 0;
 };
 
 std::vector<std::unique_ptr<SceneServer::SceneShard>> SceneServer::make_shards(
@@ -254,8 +154,8 @@ AdmissionResult SceneServer::try_open_session(const stream::LodPolicy& lod,
   }
   SceneShard& shard = *shards_[scene];
   const int id = static_cast<int>(sessions_.size());
-  sessions_.push_back(std::make_unique<Session>(
-      id, scene, shard.scene, config_.sequence, shard.cache, queue_, lod));
+  sessions_.push_back(std::make_unique<Session>(id, scene, shard.scene,
+                                                config_.sequence, queue_, lod));
   ++open_sessions_;
   res.session = id;
   res.admitted = true;
@@ -307,8 +207,14 @@ core::StreamingRenderResult SceneServer::render_session_frame(
   SGS_TRACE_SPAN("serve", "session_frame", "session",
                  static_cast<std::uint64_t>(s.id), "queue_wait_ns",
                  queue_wait_ns);
-  s.state.store(SessionState::kPlanning, std::memory_order_relaxed);
+  s.state.store(SessionState::kRendering, std::memory_order_relaxed);
   core::StreamingRenderResult result = s.renderer.render(camera);
+  s.state.store(SessionState::kReady, std::memory_order_relaxed);
+  const stream::TierSelection& sel = s.loader.frame_selection();
+  for (std::size_t t = 0; t < sel.histogram.size(); ++t) {
+    s.tier_requests[t] += sel.histogram[t];
+  }
+  if (sel.demoted > 0) ++s.degraded_frames;
   // Serving-host trace fields (SGST v9): which host shape produced this
   // frame and what the scheduler charged it on top of the render.
   result.trace.scenes = static_cast<std::uint32_t>(shards_.size());
@@ -326,7 +232,6 @@ core::StreamingRenderResult SceneServer::render_session_frame(
       result.trace.cache.degraded_groups > 0) {
     ++s.error_frames;
   }
-  s.state.store(SessionState::kReady, std::memory_order_relaxed);
   maybe_rebalance();
   return result;
 }
@@ -496,8 +401,8 @@ ServerReport SceneServer::report() const {
       sr.p50_ms = percentile_ms(sr.latency, 0.50);
       sr.p95_ms = percentile_ms(sr.latency, 0.95);
       sr.p99_ms = percentile_ms(sr.latency, 0.99);
-      sr.cache = s.source.stats();
-      sr.scene = s.source.scene();
+      sr.cache = s.loader.stats();
+      sr.scene = s.loader.scene();
       sr.state = s.state.load(std::memory_order_relaxed);
       sr.queue_wait_ns = s.queue_wait_ns;
       sr.queue_wait = s.queue_wait;
@@ -509,10 +414,11 @@ ServerReport SceneServer::report() const {
       sr.fallback_frames = s.fallback_frames;
       sr.plans_built = s.renderer.stats().plans_built;
       sr.plans_reused = s.renderer.stats().plans_reused;
-      sr.tier_requests = s.source.tier_requests();
-      sr.degraded_frames = s.source.degraded_frames();
+      sr.tier_requests = s.tier_requests;
+      sr.degraded_frames = s.degraded_frames;
       sr.error_frames = s.error_frames;
-      sr.estimated_bandwidth_bps = s.source.estimated_bandwidth_bps();
+      sr.estimated_bandwidth_bps =
+          s.loader.estimator().bandwidth_bytes_per_sec();
       rep.stall_frames += sr.stall_frames;
       rep.fallback_frames += sr.fallback_frames;
       rep.latency.merge(sr.latency);
@@ -523,9 +429,9 @@ ServerReport SceneServer::report() const {
   rep.scenes = shards_.size();
   for (const auto& shard : shards_) {
     rep.scene_caches.push_back(shard->cache.stats());
-    rep.scene_budget_bytes.push_back(shard->cache.budget_bytes());
     rep.shared_cache.accumulate(rep.scene_caches.back());
   }
+  rep.scene_budget_bytes = shard_budgets();
   // Demotion is a per-session front-end decision, so the shard counters
   // are 0: both the per-scene and global views get the sessions' sum.
   for (const SessionReport& sr : rep.sessions) {
@@ -548,7 +454,7 @@ ServerReport SceneServer::report() const {
     rep.fairness_index =
         n < 2 ? 1.0 : (sum * sum) / (static_cast<double>(n) * sum_sq);
   }
-  rep.merged_prefetch_requests = queue_.merged_requests();
+  rep.merged_prefetch_requests = queue_.queue().merged();
   // Scoped to this server's lifetime, but the lane (and its counter) is
   // process-global: two servers alive at once both see an error either
   // captured during their overlap — a diagnostics signal, not an exact
@@ -595,8 +501,17 @@ const core::StreamingScene& SceneServer::scene(std::uint32_t index) const {
   return shards_.at(index)->scene;
 }
 
-std::uint64_t SceneServer::shard_budget_bytes(std::uint32_t scene) const {
-  return shards_.at(scene)->cache.budget_bytes();
+std::vector<std::uint64_t> SceneServer::shard_budgets() const {
+  // Under the governor's lock: rebalance_shards() moves bytes between
+  // shards in two passes (shrinks, then grows), so shares read one at a
+  // time could straddle a rebalance and over-count the moved bytes.
+  std::lock_guard<std::mutex> lk(rebalance_mutex_);
+  std::vector<std::uint64_t> budgets;
+  budgets.reserve(shards_.size());
+  for (const auto& shard : shards_) {
+    budgets.push_back(shard->cache.budget_bytes());
+  }
+  return budgets;
 }
 
 }  // namespace sgs::serve

@@ -5,8 +5,11 @@
 // not. A SceneServer hosts one or more AssetStore-backed scenes — each with
 // its own thread-safe ResidencyCache shard, all shards governed by ONE
 // global byte budget — and any number of sessions, each a SequenceRenderer
-// driving its own camera path through its own SessionSource front-end over
-// its scene's shard. Sessions of one scene share that scene's decoded
+// driving its own camera path through its own stream::StreamingLoader over
+// its scene's shard and the server's shared fetch queue — the same
+// per-frame front-end a single viewer uses, constructed in its session
+// form (own LodPolicy, scene index, session-attributed counters). Sessions
+// of one scene share that scene's decoded
 // voxel groups: a group fetched for one viewer serves every viewer of that
 // scene, eviction respects the union of all in-flight working sets
 // (refcounted plan pins), and all sessions' prefetch rankings merge into
@@ -25,12 +28,11 @@
 //
 // Threading model (the frame-granular state machine):
 //   - Each session is a state machine over its frames:
-//       ready -> planning -> rendering -> committing -> ready   (-> closed)
-//     kReady: no frame in flight. kPlanning: a driver holds the session,
-//     the plan is being built/reused and tiers selected. kRendering: from
-//     SessionSource::begin_frame() on — the frame executes data-parallel
-//     on the pool. kCommitting: from end_frame() — pins dropped, counters
-//     and histograms folded in. kClosed: close_session() was called.
+//       ready -> rendering -> ready   (-> closed)
+//     kReady: no frame in flight. kRendering: a driver holds the session
+//     and is inside its renderer's render() — plan, tier selection, the
+//     data-parallel frame on the pool, unpin. kClosed: close_session() was
+//     called.
 //   - run() does NOT spawn one thread per session. It multiplexes sessions
 //     over a bounded driver set (config.max_concurrent_frames, 0 = auto:
 //     min(paths, parallelism())). Ready sessions queue FIFO; a driver pops
@@ -73,7 +75,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/render_sequence.hpp"
@@ -90,13 +91,10 @@ namespace sgs::serve {
 // holds the session, so observers see a consistent (if instantaneous)
 // snapshot.
 enum class SessionState : std::uint8_t {
-  kReady = 0,    // no frame in flight
-  kPlanning,     // driver holds the session; plan build / tier selection
-  kRendering,    // begin_frame() done; frame executing on the pool
-  kCommitting,   // end_frame() reached; pins dropped, stats folding in
-  kClosed,       // close_session() was called; renders are rejected
+  kReady = 0,  // no frame in flight
+  kRendering,  // a driver is rendering one frame of this session
+  kClosed,     // close_session() was called; renders are rejected
 };
-const char* session_state_name(SessionState s);
 
 // Why an open was refused. Admission is atomic: a rejected open leaves the
 // server exactly as it was — no partial registration, ever.
@@ -125,87 +123,6 @@ class AdmissionRejectedError : public std::runtime_error {
 
  private:
   AdmissionRejectReason reason_;
-};
-
-// Per-session front-end over one scene shard's cache and the server's
-// shared fetch queue: the GroupSource a session's SequenceRenderer renders
-// through.
-//
-// Frame bracket contract: begin_frame() selects this session's payload
-// tiers for the plan under its own LodPolicy (each session carries its own
-// quality knob over the one shared cache), pins the session's plan working
-// set (refcounted in the shard — other sessions' pins on the same groups
-// are independent), and enqueues the session's prefetch ranking into the
-// shared queue under its scene key; end_frame() drops exactly the pins
-// this session took. acquire()/release() pass through to the shard with
-// per-session attribution, requesting the frame's selected tier per group.
-// acquire() may be called concurrently from any pool worker; stats()
-// returns this session's counters only (thread-safe).
-//
-// When bound to a session state slot, begin_frame() flips it to
-// kRendering on exit and end_frame() to kCommitting on entry — the two
-// state-machine edges only the source can see.
-class SessionSource final : public stream::GroupSource {
- public:
-  SessionSource(stream::ResidencyCache& cache,
-                stream::SharedPrefetchQueue& queue,
-                stream::LodPolicy lod = {}, std::uint32_t scene = 0,
-                std::atomic<SessionState>* state = nullptr);
-
-  void begin_frame(const stream::FrameIntent& intent,
-                   std::span<const voxel::DenseVoxelId> plan_voxels) override;
-  void end_frame() override;
-  stream::GroupView acquire(voxel::DenseVoxelId v) override;
-  void release(voxel::DenseVoxelId v) override;
-  core::StreamCacheStats stats() const override;
-
-  // Deadline support (zero-stall serving): begin_frame resolves the
-  // intent's (or the queue config's) relative fetch budget to an absolute
-  // stage-clock deadline; an acquire that would still be fetching past it
-  // is served from the shard's coarse floor instead of blocking. The first
-  // floor-serve of each (frame, group) increments this session's AND the
-  // shard's coarse_fallbacks — so per-session counters sum exactly to the
-  // global one — and re-queues the wanted tier at kUrgentPriority on the
-  // shared queue.
-  //
-  // Frames whose tier selection was demoted below the footprint-ideal tier
-  // by the policy's byte budget — the "quality gave way to bandwidth"
-  // signal a server operator watches.
-  std::size_t degraded_frames() const { return degraded_frames_; }
-  // Plan-group tier requests accumulated over all frames.
-  const std::array<std::uint64_t, core::kLodTierCount>& tier_requests() const {
-    return tier_requests_;
-  }
-  const stream::LodPolicy& lod() const { return lod_; }
-  // Scene this session streams (index into its server's shard set).
-  std::uint32_t scene() const { return scene_; }
-  // This session's measured link estimate (EWMA over the transfers its
-  // demand misses and credited prefetches completed). When the session's
-  // policy enables the ABR term, begin_frame folds this into tier
-  // selection and the shared queue's prefetch byte cap — each session
-  // adapts to the link IT measured, over the one shared cache.
-  double estimated_bandwidth_bps() const {
-    return session_stats_.estimated_bandwidth_bps();
-  }
-
- private:
-  stream::ResidencyCache* cache_;
-  stream::SharedPrefetchQueue* queue_;
-  stream::LodPolicy lod_;
-  std::uint32_t scene_ = 0;
-  std::atomic<SessionState>* state_ = nullptr;  // nullable; not owned
-  stream::TierSelection selection_;  // current frame's tier per group
-  stream::SessionCacheStats session_stats_;
-  std::vector<voxel::DenseVoxelId> pinned_;  // this session's frame pins
-  std::array<std::uint64_t, core::kLodTierCount> tier_requests_{};
-  std::size_t degraded_frames_ = 0;
-  // This frame's absolute demand-fetch deadline (kNoFetchDeadline = block).
-  std::uint64_t frame_deadline_ns_ = stream::kNoFetchDeadline;
-  // Groups already served from the coarse floor this frame: acquire() runs
-  // concurrently on pool workers, but the fallback count and urgent
-  // re-queue must fire once per (frame, group).
-  std::mutex fallback_mutex_;
-  std::unordered_set<voxel::DenseVoxelId> fallback_seen_;
 };
 
 struct SceneServerConfig {
@@ -420,17 +337,19 @@ class SceneServer {
   // Requests still pending in the shared priority queue — 0 after a
   // wait_idle with no frames in flight (no session's work starves).
   std::size_t pending_prefetch_requests() const {
-    return queue_.pending_requests();
+    return queue_.queue().pending();
   }
 
   // Scene-shard access (scene 0 = the single-scene legacy view).
   stream::ResidencyCache& cache(std::uint32_t scene = 0);
   const core::StreamingScene& scene() const;
   const core::StreamingScene& scene(std::uint32_t index) const;
-  // This shard's CURRENT byte share of the global budget. Across all
-  // shards these sum exactly to config().cache.budget_bytes, at every
-  // instant — the invariant the stress test samples mid-run.
-  std::uint64_t shard_budget_bytes(std::uint32_t scene) const;
+  // Every shard's CURRENT byte share of the global budget (indexed by
+  // scene), read as one snapshot under the governor's lock — so a
+  // rebalance is never seen half-applied, and the shares sum exactly to
+  // config().cache.budget_bytes at every instant (the invariant the stress
+  // test samples mid-run).
+  std::vector<std::uint64_t> shard_budgets() const;
   const SceneServerConfig& config() const { return config_; }
 
  private:
@@ -456,20 +375,21 @@ class SceneServer {
   obs::MetricId frame_ns_metric_;
   SceneServerConfig config_;
   std::vector<std::unique_ptr<SceneShard>> shards_;  // indexed by scene
+  // Declared before sessions_: every session's loader schedules on this
+  // queue (and its shard), so both must outlive the sessions — each
+  // loader's destructor drains the lane its batches credit it from.
+  stream::SharedPrefetchQueue queue_;
   // Guards the session table (open/close/lookup). Frame rendering itself
   // runs outside it: Session storage is pointer-stable (unique_ptr), so a
   // driver resolves its session under the lock and renders without it.
   mutable std::mutex sessions_mutex_;
-  // Declared before queue_ so the queue (whose async batches credit
-  // session sinks) drains before any session is destroyed.
   std::vector<std::unique_ptr<Session>> sessions_;
   std::size_t open_sessions_ = 0;
   std::atomic<std::uint64_t> admission_rejects_{0};
-  stream::SharedPrefetchQueue queue_;
   // Shard-budget governor state: frames committed (rebalance trigger),
   // last-rebalance access marks and the demand EWMA per shard.
   std::atomic<std::uint64_t> committed_frames_{0};
-  std::mutex rebalance_mutex_;
+  mutable std::mutex rebalance_mutex_;
   std::vector<std::uint64_t> shard_last_accesses_;
   std::vector<double> shard_demand_ewma_;
   // Lane-error baseline at construction: report() attributes only errors

@@ -2,10 +2,10 @@
 //
 // An exponentially-weighted moving average of link throughput over
 // *completed* transfers — failed or partial transfers never feed it, so a
-// lossy link is estimated by what actually arrives. Each front-end that
-// owns a viewer owns one estimator (per-session in SceneServer, one in a
-// standalone StreamingLoader); every demand fetch and prefetch that front-
-// end pays observes (bytes, elapsed_ns) here, and each begin_frame copies
+// lossy link is estimated by what actually arrives. Each StreamingLoader —
+// a single viewer's or a serve session's — owns one estimator; every
+// demand fetch and prefetch that loader pays observes (bytes, elapsed_ns)
+// here, and each begin_frame copies
 // bandwidth_bytes_per_sec() into its LodPolicy's throughput term
 // (lod_policy.hpp) before tier selection.
 //

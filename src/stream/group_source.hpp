@@ -9,16 +9,18 @@
 //   ResidentGroupSource — wraps a prepared StreamingScene; acquire() is a
 //     pointer view into render_model(), no copies, no bookkeeping. This is
 //     the implicit source every pre-existing call site uses.
-//   ResidencyCache / StreamingLoader (their own headers) — cache-backed
-//     sources that fetch and decode groups on demand under a byte budget.
+//   StreamingLoader (streaming_loader.hpp) — the one out-of-core source,
+//     for a single viewer and for every serve session alike: it fetches
+//     and decodes groups on demand through a ResidencyCache under a byte
+//     budget and prefetches ahead of the camera.
 //
 // Contract: acquire() may be called concurrently from any pool worker; the
-// returned view stays valid until the matching release() (cache sources pin
-// the group in between). begin_frame()/end_frame() bracket one rendered
-// frame: the source learns the camera, the caller's expected inter-frame
-// motion envelope, and the FramePlan's candidate voxels — everything a
-// prefetcher needs to fetch ahead and everything a cache needs to pin the
-// in-flight working set.
+// returned view stays valid until the matching release() (the loader pins
+// the group in its cache in between). begin_frame()/end_frame() bracket
+// one rendered frame: the source learns the camera, the caller's expected
+// inter-frame motion envelope, and the FramePlan's candidate voxels —
+// everything a prefetcher needs to fetch ahead and everything a cache
+// needs to pin the in-flight working set.
 #pragma once
 
 #include <span>
@@ -68,9 +70,9 @@ struct FrameIntent {
   // (the frame's deadline on core::stage_clock_ns is begin_frame + this).
   // kNoFetchDeadline keeps demand misses blocking; 0 expires immediately,
   // so every miss of a floor-backed group serves the coarse tier — the
-  // deterministic zero-stall setting. Deadline-aware sources
-  // (StreamingLoader, serve::SessionSource) fall back to their
-  // PrefetchConfig::fetch_deadline_ns when the intent carries the sentinel.
+  // deterministic zero-stall setting. StreamingLoader falls back to its
+  // queue's PrefetchConfig::fetch_deadline_ns when the intent carries the
+  // sentinel.
   std::uint64_t fetch_deadline_ns = kNoFetchDeadline;
 };
 

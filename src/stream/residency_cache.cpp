@@ -69,67 +69,23 @@ void ResidencyCache::record_coarse_fallback() {
   ++stats_.coarse_fallbacks;
 }
 
-void ResidencyCache::begin_frame(
-    const FrameIntent&, std::span<const voxel::DenseVoxelId> plan_voxels) {
-  // Pin the plan's working set: whether or not a candidate is resident yet,
-  // it must not be evicted while the frame is in flight (views into it may
-  // outlive their release()).
-  frame_pins_.assign(plan_voxels.begin(), plan_voxels.end());
-  std::lock_guard<std::mutex> lk(mutex_);
-  assert(!bracket_active_ &&
-         "ResidencyCache::begin_frame frames must not overlap");
-  bracket_active_ = true;
-  pin_plan_locked(frame_pins_);
-}
-
-void ResidencyCache::end_frame() {
-  std::lock_guard<std::mutex> lk(mutex_);
-  assert(bracket_active_ && "end_frame without begin_frame");
-  unpin_plan_locked(frame_pins_);
-  frame_pins_.clear();
-  bracket_active_ = false;
-}
-
 void ResidencyCache::pin_plan(std::span<const voxel::DenseVoxelId> voxels) {
   std::lock_guard<std::mutex> lk(mutex_);
-  // The single-session bracket and multi-session pin_plan must not drive
-  // one cache at the same time: the bracket owns the frame_pins_ slot and
-  // assumes it is the only pinner whose unpin drains the budget overshoot.
-  assert(!bracket_active_ &&
-         "pin_plan while a begin_frame/end_frame bracket is active — use one "
-         "pinning path per cache");
-  pin_plan_locked(voxels);
-}
-
-void ResidencyCache::unpin_plan(std::span<const voxel::DenseVoxelId> voxels) {
-  std::lock_guard<std::mutex> lk(mutex_);
-  assert(!bracket_active_ &&
-         "unpin_plan while a begin_frame/end_frame bracket is active — use "
-         "one pinning path per cache");
-  unpin_plan_locked(voxels);
-}
-
-void ResidencyCache::pin_plan_locked(
-    std::span<const voxel::DenseVoxelId> voxels) {
   for (const voxel::DenseVoxelId v : voxels) {
     ++entries_[static_cast<std::size_t>(v)].plan_pins;
   }
 }
 
-void ResidencyCache::unpin_plan_locked(
-    std::span<const voxel::DenseVoxelId> voxels) {
+void ResidencyCache::unpin_plan(std::span<const voxel::DenseVoxelId> voxels) {
+  std::lock_guard<std::mutex> lk(mutex_);
   for (const voxel::DenseVoxelId v : voxels) {
     Entry& e = entries_[static_cast<std::size_t>(v)];
     assert(e.plan_pins > 0);
     --e.plan_pins;
   }
   // Pins may have carried residency above budget; drain the overshoot now.
-  // (Unconditional: a session that pinned nothing still gets the drain.)
+  // (Unconditional: a viewer that pinned nothing still gets the drain.)
   evict_over_budget_locked();
-}
-
-GroupView ResidencyCache::acquire(voxel::DenseVoxelId v) {
-  return acquire_outcome(v).view;
 }
 
 AcquireOutcome ResidencyCache::acquire_outcome(voxel::DenseVoxelId v, int tier,
@@ -292,11 +248,6 @@ void ResidencyCache::release(voxel::DenseVoxelId v) {
   if (e.pins == 0 && e.loading) cv_.notify_all();
 }
 
-bool ResidencyCache::prefetch(voxel::DenseVoxelId v, int tier,
-                              std::uint64_t* fetched_bytes) {
-  return prefetch_checked(v, tier, fetched_bytes) == PrefetchResult::kFetched;
-}
-
 PrefetchResult ResidencyCache::prefetch_checked(voxel::DenseVoxelId v,
                                                 int tier,
                                                 std::uint64_t* fetched_bytes,
@@ -353,27 +304,6 @@ int ResidencyCache::resident_tier(voxel::DenseVoxelId v) const {
   std::lock_guard<std::mutex> lk(mutex_);
   const Entry& e = entries_[static_cast<std::size_t>(v)];
   return e.resident ? e.tier : -1;
-}
-
-std::vector<std::uint8_t> ResidencyCache::resident_snapshot() const {
-  std::vector<std::uint8_t> flags(entries_.size(), 0);
-  std::lock_guard<std::mutex> lk(mutex_);
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    flags[i] = entries_[i].resident ? 1 : 0;
-  }
-  return flags;
-}
-
-std::vector<std::uint8_t> ResidencyCache::tier_snapshot() const {
-  std::vector<std::uint8_t> tiers;
-  ranking_snapshot(&tiers, nullptr);
-  return tiers;
-}
-
-std::vector<std::uint8_t> ResidencyCache::failed_tier_snapshot() const {
-  std::vector<std::uint8_t> failed;
-  ranking_snapshot(nullptr, &failed);
-  return failed;
 }
 
 void ResidencyCache::ranking_snapshot(

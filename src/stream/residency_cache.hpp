@@ -1,10 +1,11 @@
 // ResidencyCache: decoded voxel groups held under a byte budget, shareable
 // by any number of concurrent viewer sessions.
 //
-// The cache is the GroupSource an out-of-core render uses: acquire() pins a
-// group and returns its decoded view, fetching from the AssetStore on a
-// miss (a demand stall — the render worker blocks on the disk read). A
-// loader thread can warm the cache ahead of demand through prefetch().
+// The cache is the store a StreamingLoader (the per-frame front-end, see
+// streaming_loader.hpp) renders through: acquire_outcome() pins a group and
+// returns its decoded view, fetching from the AssetStore on a miss (a
+// demand stall — the render worker blocks on the disk read). The async
+// lane warms the cache ahead of demand through prefetch_checked().
 //
 // Entries are tier-tagged (LOD): each group is resident at exactly one
 // payload tier at a time. A request for tier t is satisfied by any
@@ -17,20 +18,16 @@
 // in-flight FramePlan claims it (`plan_pins`, a refcount — several sessions
 // may pin the same group, and eviction respects the *union* of their
 // working sets). Plan pins are taken with pin_plan() and dropped with
-// unpin_plan(); the single-session GroupSource bracket (begin_frame /
-// end_frame) is implemented on top of that pair. Pinned groups may push
-// residency above the budget; the overshoot drains at the next unpin.
+// unpin_plan() — the only pinning path. Pinned groups may push residency
+// above the budget; the overshoot drains at the next unpin.
 //
 // The budget counts decoded in-memory bytes (DecodedGroup::resident_bytes),
 // while bytes_fetched counts on-disk payload bytes — the two sides of the
 // memory/traffic trade the simulator prices.
 //
 // Thread-safety: one mutex guards all cache state; every public method is
-// safe to call concurrently from any thread EXCEPT the GroupSource bracket
-// begin_frame/end_frame, which keeps its working set in one member slot
-// and therefore admits exactly one driving session (the PR 2 single-viewer
-// path). Multi-session callers must take their pins through pin_plan /
-// unpin_plan with per-session working sets (serve::SessionSource does).
+// safe to call concurrently from any thread, so any number of viewers may
+// share one cache, each pinning its own working set.
 // Fetches (disk read + decode) run *outside* the lock with the entry
 // marked `loading`, so concurrent acquires of other groups proceed, and
 // concurrent acquires of the *same* group sleep on a condition variable
@@ -38,9 +35,9 @@
 // release never block on disk unless they themselves miss.
 //
 // Attribution: the cumulative counters in stats() are global across all
-// callers. Multi-session front-ends (serve::SessionSource) use
-// acquire_outcome() / the prefetch byte out-param to additionally attribute
-// each hit, miss, and fetched byte to the session that caused it.
+// callers. Loaders use acquire_outcome() / the prefetch byte out-params to
+// additionally attribute each hit, miss, and fetched byte to the viewer
+// that caused it.
 //
 // Determinism: for a fixed request trace from one thread, hits, misses,
 // evictions, and the resident set are fully reproducible (pure LRU, no
@@ -73,8 +70,8 @@
 // have to block past the deadline are served the group's best
 // immediately-available payload instead: a stale resident tier when one is
 // there, the floor otherwise. Such serves count as hits at the served tier
-// with outcome.coarse_fallback set; frame-aware front-ends dedup the flag
-// per (frame, group) into stats().coarse_fallbacks (trace v7) via
+// with outcome.coarse_fallback set; the loader dedups the flag per
+// (frame, group) into stats().coarse_fallbacks (trace v7) via
 // record_coarse_fallback(). The floor also backstops error-state serves:
 // a degraded acquire with a floor payload renders the coarse tier instead
 // of an empty view. The floor is all-or-nothing against its budget
@@ -173,45 +170,27 @@ struct AcquireOutcome {
   // the caller's deadline, so the view was served from the group's best
   // immediately-available payload (a stale resident tier, else the pinned
   // coarse floor) without touching the disk. Counted as a hit at
-  // served_tier; the caller's frame front-end dedups this flag per
-  // (frame, group) into StreamCacheStats::coarse_fallbacks.
+  // served_tier; the caller's loader dedups this flag per (frame, group)
+  // into StreamCacheStats::coarse_fallbacks.
   bool coarse_fallback = false;
 };
 
-class ResidencyCache final : public GroupSource {
+class ResidencyCache final {
  public:
   ResidencyCache(const AssetStore& store, ResidencyCacheConfig config = {});
 
-  // GroupSource (single-session bracket) ---------------------------------
-  // begin_frame/end_frame keep the one-viewer usage of PR 2 working: they
-  // pin_plan/unpin_plan the plan's candidate set for *this* source. The
-  // bracket stores that set in one member, so only ONE session may drive
-  // it (frames may not overlap or interleave); a shared cache hosting
-  // several sessions is driven through pin_plan / unpin_plan directly with
-  // per-session working sets (one call pair per session, see serve/).
-  void begin_frame(const FrameIntent& intent,
-                   std::span<const voxel::DenseVoxelId> plan_voxels) override;
-  void end_frame() override;
-  GroupView acquire(voxel::DenseVoxelId v) override;
-  void release(voxel::DenseVoxelId v) override;
-  core::StreamCacheStats stats() const override;
-
-  // Shared-session API ---------------------------------------------------
-  // Adds one plan pin to every group in `voxels` (refcounted: k sessions
+  // Adds one plan pin to every group in `voxels` (refcounted: k viewers
   // pinning a group protect it until all k unpin). Pinning does not fetch.
-  // Must not be mixed with the single-session begin_frame/end_frame
-  // bracket on the same cache (debug-asserted): a bracket caller owns the
-  // one frame_pins_ slot, so a concurrent pin_plan caller indicates two
-  // drivers disagreeing about the cache's mode.
   void pin_plan(std::span<const voxel::DenseVoxelId> voxels);
   // Drops one plan pin from every group in `voxels` and drains any budget
   // overshoot that the pins were holding back. Every pin_plan must be
   // matched by exactly one unpin_plan with the same voxel set.
   void unpin_plan(std::span<const voxel::DenseVoxelId> voxels);
 
-  // acquire() with attribution: same pinning and blocking behavior, but the
-  // caller learns whether *it* paid a demand fetch and how many payload
-  // bytes that fetch read. The matching release(v) is unchanged.
+  // Pins `v` and returns its decoded view, fetching on a miss; the view
+  // stays valid until the matching release(v). The outcome tells the
+  // caller whether *it* paid a demand fetch and how many payload bytes
+  // that fetch read. Safe from any render worker.
   //
   // Tier semantics (`tier` is the lowest fidelity the caller accepts, 0 =
   // full): a resident group whose tier is <= `tier` is a hit and is served
@@ -232,23 +211,23 @@ class ResidencyCache final : public GroupSource {
   // the deadline — a deadline bounds stalls, it never invents pixels.
   AcquireOutcome acquire_outcome(voxel::DenseVoxelId v, int tier = 0,
                                  std::uint64_t deadline_ns = kNoFetchDeadline);
+  // Drops the pin acquire_outcome() took — on every path, degraded and
+  // floor serves included.
+  void release(voxel::DenseVoxelId v);
+  // Cumulative global counters since construction (all callers).
+  core::StreamCacheStats stats() const;
 
   // Loader-facing --------------------------------------------------------
   // Fetches `v` at `tier` if absent, or re-fetches it at `tier` when
   // resident at a worse tier and currently unviewed (counted as a
-  // prefetch, not a miss). Returns true when this call fetched; false when
+  // prefetch, not a miss). kFetched when this call fetched; kSkipped when
   // the group was already resident at `tier` or better, in flight, or
   // pinned by readers (an upgrade must not block the async lane — demand
-  // acquire will pay it instead), and also when the fetch errored or the
-  // group is negative-cached — prefetch NEVER throws, so a batch loop
-  // continues past a bad group. When it fetched and `fetched_bytes` is
-  // non-null, the payload bytes read are stored there (attribution).
-  bool prefetch(voxel::DenseVoxelId v, int tier = 0,
-                std::uint64_t* fetched_bytes = nullptr);
-  // Same, with the outcome distinguished — what a batch drain uses to
-  // count per-group errors without aborting the rest of the batch. When it
-  // fetched and `fetched_ns` is non-null, the backend transfer time is
-  // stored there (the drain feeds it to the session's BandwidthEstimator).
+  // acquire will pay it instead); kErrored / kNegativeCached on a failed
+  // or denied fetch — prefetch NEVER throws, so a batch drain continues
+  // past a bad group and counts it. When it fetched, the payload bytes
+  // read and the backend transfer time land in the non-null out-params
+  // (the drain attributes them and feeds the viewer's BandwidthEstimator).
   PrefetchResult prefetch_checked(voxel::DenseVoxelId v, int tier = 0,
                                   std::uint64_t* fetched_bytes = nullptr,
                                   std::uint64_t* fetched_ns = nullptr);
@@ -263,26 +242,16 @@ class ResidencyCache final : public GroupSource {
   bool resident(voxel::DenseVoxelId v) const;
   // Resident tier of `v`, or -1 when absent.
   int resident_tier(voxel::DenseVoxelId v) const;
-  // Residency of every group under ONE lock acquisition (indexed by dense
-  // voxel id, 1 = resident). Prefetch ranking scans the whole directory
-  // per session per frame; probing resident() per group would hammer the
-  // mutex all render workers contend on. The snapshot is advisory — a
-  // group may be fetched or evicted the instant the lock drops — which is
-  // all ranking needs (prefetch of a now-resident group is a cheap no-op).
-  std::vector<std::uint8_t> resident_snapshot() const;
-  // Same single-lock scan, but per group the resident *tier* (0..2) or
-  // kTierAbsent when not resident — what tier-aware prefetch ranking needs.
+  // Per group, under ONE lock acquisition (indexed by dense voxel id): the
+  // resident tier (0..2, kTierAbsent when not resident) and the bitmask of
+  // negative-cached tiers (bit t set = tier t exhausted its retry budget);
+  // either out-param may be null. Prefetch ranking scans the whole
+  // directory per viewer per frame — probing per group would hammer the
+  // mutex all render workers contend on — and masks its wanted tier
+  // against the failures so a dead (group, tier) never re-enters a batch.
+  // The snapshot is advisory: a group may be fetched or evicted the
+  // instant the lock drops, which is all ranking needs.
   static constexpr std::uint8_t kTierAbsent = 0xFF;
-  std::vector<std::uint8_t> tier_snapshot() const;
-  // Per-group bitmask of negative-cached tiers (bit t set = tier t has
-  // exhausted its retry budget), same single-lock scan. Prefetch ranking
-  // masks its wanted tier against this so a failed (group, tier) never
-  // re-enters a batch — not even as an upgrade candidate — while the
-  // group's healthy tiers stay fetchable.
-  std::vector<std::uint8_t> failed_tier_snapshot() const;
-  // Both of the above under ONE lock acquisition (either out-param may be
-  // null) — what per-frame, per-session ranking calls so the added
-  // failure mask does not double its traffic on the contended mutex.
   void ranking_snapshot(std::vector<std::uint8_t>* resident_tiers,
                         std::vector<std::uint8_t>* failed_tiers) const;
 
@@ -320,10 +289,10 @@ class ResidencyCache final : public GroupSource {
     return coarse_tier_ >= 0 &&
            floor_present_[static_cast<std::size_t>(v)] != 0;
   }
-  // Deduped fallback accounting: the frame-aware front-ends (the loader /
-  // serve::SessionSource) call this exactly once per (frame, group) whose
-  // acquire came back with outcome.coarse_fallback, so the global
-  // stats().coarse_fallbacks equals the sum of the per-session counters.
+  // Deduped fallback accounting: loaders call this exactly once per
+  // (frame, group) whose acquire came back with outcome.coarse_fallback, so
+  // the global stats().coarse_fallbacks equals the sum of the per-viewer
+  // counters.
   void record_coarse_fallback();
 
  private:
@@ -370,8 +339,6 @@ class ResidencyCache final : public GroupSource {
   void pin_coarse_floor();
   void touch_locked(Entry& e, voxel::DenseVoxelId v);
   void evict_over_budget_locked();
-  void pin_plan_locked(std::span<const voxel::DenseVoxelId> voxels);
-  void unpin_plan_locked(std::span<const voxel::DenseVoxelId> voxels);
 
   const AssetStore* store_;
   ResidencyCacheConfig config_;
@@ -385,11 +352,6 @@ class ResidencyCache final : public GroupSource {
   std::vector<Entry> entries_;  // indexed by dense voxel id
   std::list<voxel::DenseVoxelId> lru_;  // front = most recent
   std::uint64_t resident_bytes_ = 0;
-  // Working set of the legacy single-session bracket (begin/end_frame).
-  std::vector<voxel::DenseVoxelId> frame_pins_;
-  // Debug guard: the single-session bracket and multi-session pin_plan are
-  // mutually exclusive usages of one cache (see begin_frame).
-  bool bracket_active_ = false;
   core::StreamCacheStats stats_;
   // Coarse floor: immutable after construction (pin_coarse_floor), so
   // deadline fallbacks read it without extending the mutex's critical

@@ -169,126 +169,6 @@ std::uint64_t PrefetchPriorityQueue::expired() const {
   return expired_;
 }
 
-// ------------------------------------------------------- StreamingLoader --
-
-StreamingLoader::StreamingLoader(ResidencyCache& cache, PrefetchConfig config)
-    : cache_(&cache), config_(config) {}
-
-StreamingLoader::~StreamingLoader() { wait_idle(); }
-
-void StreamingLoader::begin_frame(
-    const FrameIntent& intent,
-    std::span<const voxel::DenseVoxelId> plan_voxels) {
-  cache_->begin_frame(intent, plan_voxels);
-  // ABR: fold the measured link estimate into this frame's policy before
-  // selection. Selection stays a pure function of its inputs — the
-  // estimate rides in as an explicit field, not shared state.
-  LodPolicy lod = config_.lod;
-  if (lod.abr_frame_budget_ns > 0 && lod.link_bandwidth_bytes_per_sec <= 0.0) {
-    lod.link_bandwidth_bytes_per_sec = estimator_.bandwidth_bytes_per_sec();
-  }
-  // Tier selection for this frame's plan: acquire() consults it per group.
-  // Recomputed every frame — a camera-less intent must reset the map to
-  // all-L0, not leave the previous frame's pruned tiers in force.
-  selection_ = select_frame_tiers(cache_->store(), intent, plan_voxels, lod);
-  abr_demotions_.fetch_add(selection_.abr_demoted, std::memory_order_relaxed);
-  // Resolve this frame's demand-fetch deadline to an absolute stage-clock
-  // instant. The intent's budget wins over the config's default.
-  const std::uint64_t rel = intent.fetch_deadline_ns != kNoFetchDeadline
-                                ? intent.fetch_deadline_ns
-                                : config_.fetch_deadline_ns;
-  frame_deadline_ns_ =
-      rel == kNoFetchDeadline ? kNoFetchDeadline : core::stage_clock_ns() + rel;
-  {
-    std::lock_guard<std::mutex> lk(fallback_mutex_);
-    fallback_seen_.clear();
-  }
-  if (intent.camera != nullptr) {
-    // Rank under the ABR-adjusted policy so the prefetch byte cap tracks
-    // the same link estimate the tier selection just used.
-    PrefetchConfig cfg = config_;
-    cfg.lod = lod;
-    const std::vector<PrefetchRequest> batch =
-        rank_prefetch_groups(*cache_, intent, cfg);
-    for (const PrefetchRequest& r : batch) queue_.push(r);
-  }
-  // Even a camera-less frame drains: urgent re-queues from the previous
-  // frame must not rot in a synchronous loader's queue.
-  if (queue_.pending() == 0) return;
-  if (config_.synchronous) {
-    drain_queue();
-  } else {
-    // One FIFO task per frame: fetches overlap this frame's rendering, and
-    // urgent re-queues pushed mid-frame are picked up by the same drain —
-    // or by the next frame's, whichever pops them first.
-    async_submit([this] { drain_queue(); });
-  }
-}
-
-void StreamingLoader::drain_queue() {
-  SGS_TRACE_SPAN("prefetch", "prefetch_batch", "pending", queue_.pending());
-  PrefetchRequest r;
-  while (queue_.pop(&r, core::stage_clock_ns())) {
-    std::uint64_t bytes = 0;
-    std::uint64_t ns = 0;
-    if (cache_->prefetch_checked(r.id, r.tier, &bytes, &ns) ==
-        PrefetchResult::kFetched) {
-      estimator_.observe(bytes, ns);
-    }
-  }
-}
-
-void StreamingLoader::end_frame() { cache_->end_frame(); }
-
-GroupView StreamingLoader::acquire(voxel::DenseVoxelId v) {
-  const int tier = selection_.tier_of(v);
-  const AcquireOutcome outcome =
-      cache_->acquire_outcome(v, tier, frame_deadline_ns_);
-  if (outcome.missed && !outcome.degraded) {
-    estimator_.observe(outcome.bytes_fetched, outcome.fetch_ns);
-  }
-  if (outcome.coarse_fallback) {
-    bool first = false;
-    {
-      std::lock_guard<std::mutex> lk(fallback_mutex_);
-      first = fallback_seen_.insert(v).second;
-    }
-    if (first) {
-      // Once per (frame, group): count the fallback and re-queue the wanted
-      // tier ahead of every ranked candidate so the group streams in at
-      // full fidelity for the frames that follow.
-      cache_->record_coarse_fallback();
-      PrefetchRequest urgent;
-      urgent.id = v;
-      urgent.tier = static_cast<std::uint8_t>(tier);
-      urgent.priority = kUrgentPriority;
-      queue_.push(urgent);
-      if (!config_.synchronous) async_submit([this] { drain_queue(); });
-      // Synchronous mode: draining here would block the render worker —
-      // the very stall the deadline exists to avoid. The next frame's
-      // begin_frame drains it.
-    }
-  }
-  return outcome.view;
-}
-
-void StreamingLoader::release(voxel::DenseVoxelId v) { cache_->release(v); }
-
-core::StreamCacheStats StreamingLoader::stats() const {
-  core::StreamCacheStats s = cache_->stats();
-  // Demotion is a front-end decision: the shared cache's counter stays 0,
-  // this loader reports the demotions its own frames accumulated.
-  s.abr_demotions = abr_demotions_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void StreamingLoader::wait_idle() const { async_wait_idle(); }
-
-std::vector<PrefetchRequest> StreamingLoader::rank_prefetch(
-    const FrameIntent& intent) const {
-  return rank_prefetch_groups(*cache_, intent, config_);
-}
-
 // --------------------------------------------------- SharedPrefetchQueue --
 
 SharedPrefetchQueue::SharedPrefetchQueue(ResidencyCache& cache,
@@ -317,32 +197,26 @@ std::size_t SharedPrefetchQueue::enqueue(const FrameIntent& intent,
   ResidencyCache& shard = *shards_.at(scene);
   PrefetchConfig cfg = config_;
   if (lod != nullptr) cfg.lod = *lod;
-  // Per-session ABR: when the policy's throughput term is live but the
-  // caller did not fold an estimate in, use the session sink's own — its
-  // ranking and byte cap then track the link that session measured.
-  if (sink != nullptr && cfg.lod.abr_frame_budget_ns > 0 &&
-      cfg.lod.link_bandwidth_bytes_per_sec <= 0.0) {
-    cfg.lod.link_bandwidth_bytes_per_sec = sink->estimated_bandwidth_bps();
-  }
   std::vector<PrefetchRequest> ranked =
       rank_prefetch_groups(shard, intent, cfg);
-  // Push against every session's pending requests: a (scene, group)
-  // already queued at the same or a better tier merges away — fetching it
-  // again would only duplicate the read. A strictly better tier supersedes
-  // the pending mark and fetches (the cache turns it into an in-place
-  // upgrade).
+  // Push against every viewer's pending requests: a (scene, group) already
+  // queued at the same or a better tier merges away — fetching it again
+  // would only duplicate the read. A strictly better tier supersedes the
+  // pending mark and fetches (the cache turns it into an in-place upgrade).
   std::size_t queued = 0;
   for (PrefetchRequest& r : ranked) {
     r.scene = scene;
     r.sink = sink;
     if (queue_.push(r)) ++queued;
   }
+  // Even an empty ranking drains: urgent re-queues from an earlier frame
+  // must not rot in a synchronous queue.
   if (queue_.pending() == 0) return queued;
   if (config_.synchronous) {
     drain();
   } else {
     // Every drain runs the shared queue dry, most-urgent-first across all
-    // sessions — a request pushed before this drain task pops it is served
+    // viewers — a request pushed before this drain task pops it is served
     // no later than this task, whoever pushed it.
     async_submit([this] { drain(); });
   }
@@ -363,7 +237,7 @@ void SharedPrefetchQueue::requeue_urgent(voxel::DenseVoxelId id,
   if (!queue_.push(r)) return;
   // Synchronous mode: draining here would block the render worker that hit
   // the deadline — the very stall the fallback avoided. The next enqueue
-  // (or an explicit one) drains it.
+  // drains it.
   if (!config_.synchronous) async_submit([this] { drain(); });
 }
 
@@ -371,7 +245,7 @@ void SharedPrefetchQueue::drain() {
   SGS_TRACE_SPAN("prefetch", "prefetch_batch", "pending", queue_.pending());
   // A failed group must not abort the rest of the queue: prefetch_checked
   // never throws, so the loop continues past per-group errors and counts
-  // them into the requesting session's attribution sink.
+  // them into the requesting viewer's attribution sink.
   PrefetchRequest r;
   while (queue_.pop(&r, core::stage_clock_ns())) {
     std::uint64_t bytes = 0;
@@ -391,16 +265,104 @@ void SharedPrefetchQueue::drain() {
 
 void SharedPrefetchQueue::wait_idle() const { async_wait_idle(); }
 
-std::uint64_t SharedPrefetchQueue::merged_requests() const {
-  return queue_.merged();
+// ------------------------------------------------------- StreamingLoader --
+
+StreamingLoader::StreamingLoader(ResidencyCache& cache, PrefetchConfig config)
+    : owned_queue_(std::make_unique<SharedPrefetchQueue>(cache, config)),
+      queue_(owned_queue_.get()),
+      cache_(&cache),
+      lod_(config.lod) {}
+
+StreamingLoader::StreamingLoader(SharedPrefetchQueue& queue, LodPolicy lod,
+                                 std::uint32_t scene)
+    : queue_(&queue), cache_(&queue.cache(scene)), lod_(lod), scene_(scene) {}
+
+StreamingLoader::~StreamingLoader() { wait_idle(); }
+
+void StreamingLoader::begin_frame(
+    const FrameIntent& intent,
+    std::span<const voxel::DenseVoxelId> plan_voxels) {
+  // Pin the plan's working set: whether or not a candidate is resident yet,
+  // it must not be evicted while the frame is in flight (views into it may
+  // outlive their release()). Refcounted in the cache, so other viewers'
+  // pins on the same groups are independent.
+  pinned_.assign(plan_voxels.begin(), plan_voxels.end());
+  cache_->pin_plan(pinned_);
+  // ABR: fold this loader's measured link estimate into the frame's policy
+  // before selection (each viewer adapts to the throughput IT observed).
+  // Selection stays a pure function of its inputs — the estimate rides in
+  // as an explicit field, not shared state.
+  LodPolicy lod = lod_;
+  if (lod.abr_frame_budget_ns > 0 && lod.link_bandwidth_bytes_per_sec <= 0.0) {
+    lod.link_bandwidth_bytes_per_sec =
+        counters_.estimator().bandwidth_bytes_per_sec();
+  }
+  // Tier selection for this frame's plan: acquire() consults it per group.
+  // Recomputed every frame — a camera-less intent must reset the map to
+  // all-L0, not leave the previous frame's pruned tiers in force.
+  selection_ = select_frame_tiers(cache_->store(), intent, pinned_, lod);
+  counters_.record_abr_demotions(selection_.abr_demoted);
+  // Resolve this frame's demand-fetch deadline to an absolute stage-clock
+  // instant. The intent's budget wins over the queue config's default.
+  const std::uint64_t rel = intent.fetch_deadline_ns != kNoFetchDeadline
+                                ? intent.fetch_deadline_ns
+                                : queue_->config().fetch_deadline_ns;
+  frame_deadline_ns_ =
+      rel == kNoFetchDeadline ? kNoFetchDeadline : core::stage_clock_ns() + rel;
+  {
+    std::lock_guard<std::mutex> lk(fallback_mutex_);
+    fallback_seen_.clear();
+  }
+  // Rank under the ABR-adjusted policy so the prefetch byte cap tracks the
+  // same link estimate the tier selection just used.
+  queue_->enqueue(intent, &counters_, &lod, scene_);
 }
 
-std::size_t SharedPrefetchQueue::pending_requests() const {
-  return queue_.pending();
+void StreamingLoader::end_frame() {
+  cache_->unpin_plan(pinned_);
+  pinned_.clear();
 }
 
-std::uint64_t SharedPrefetchQueue::expired_requests() const {
-  return queue_.expired();
+GroupView StreamingLoader::acquire(voxel::DenseVoxelId v) {
+  const int tier = selection_.tier_of(v);
+  const AcquireOutcome outcome =
+      cache_->acquire_outcome(v, tier, frame_deadline_ns_);
+  counters_.record_acquire(outcome);
+  if (outcome.coarse_fallback) {
+    bool first = false;
+    {
+      std::lock_guard<std::mutex> lk(fallback_mutex_);
+      first = fallback_seen_.insert(v).second;
+    }
+    if (first) {
+      // Once per (frame, group), credited to this loader AND the cache from
+      // the same dedup site — per-viewer coarse_fallbacks sum exactly to
+      // the cache's counter — and the wanted tier re-queued ahead of every
+      // ranked candidate so the group streams in at full fidelity for the
+      // frames that follow.
+      counters_.record_coarse_fallback();
+      cache_->record_coarse_fallback();
+      queue_->requeue_urgent(v, static_cast<std::uint8_t>(tier), &counters_,
+                             scene_);
+    }
+  }
+  return outcome.view;
 }
+
+void StreamingLoader::release(voxel::DenseVoxelId v) { cache_->release(v); }
+
+core::StreamCacheStats StreamingLoader::stats() const {
+  core::StreamCacheStats s = counters_.snapshot();
+  if (owned_queue_ == nullptr) return s;  // a serve session: its own share
+  // A single viewer is its cache's only client: report the cache's global
+  // counters, evictions included. Demotion is a front-end decision the
+  // cache never sees, so it comes from this loader's own counters.
+  const std::uint64_t demotions = s.abr_demotions;
+  s = cache_->stats();
+  s.abr_demotions = demotions;
+  return s;
+}
+
+void StreamingLoader::wait_idle() const { queue_->wait_idle(); }
 
 }  // namespace sgs::stream

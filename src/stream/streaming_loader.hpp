@@ -1,16 +1,23 @@
-// StreamingLoader: prefetch-driven GroupSource for out-of-core rendering —
-// plus the shared, session-aware fetch queue a multi-viewer server uses.
+// StreamingLoader: the one per-frame front-end of out-of-core rendering —
+// the GroupSource a single viewer and every serve session render through —
+// plus the shared, session-aware fetch queue it schedules prefetch on.
 //
-// StreamingLoader decorates a ResidencyCache: acquire/release/pinning pass
-// straight through, and begin_frame() additionally (a) selects a payload
-// tier per plan group through its LodPolicy — acquire() then requests that
-// tier, so distant groups stream importance-pruned subsets — and (b) ranks
-// the store's fetch-worthy voxel groups by predicted visibility for the
-// frame's camera — inflated by the caller's motion envelope, so groups
-// about to enter the frustum are fetched *before* the frame that needs
-// them — and fetches the best-ranked ones on the pool's async lane while
-// the frame renders on the main workers. A demand miss still stalls the
-// render worker that hits it; the loader's job is making those stalls rare.
+// A loader sits over one ResidencyCache shard and a SharedPrefetchQueue
+// (its own one-scene queue for a single viewer, the server's shared queue
+// for a serve session). Its frame bracket is the whole per-frame loop:
+//   begin_frame  pins the plan's working set (ResidencyCache::pin_plan),
+//                folds the loader's measured link estimate into its
+//                LodPolicy's ABR term, selects a payload tier per plan
+//                group, resolves the frame's demand-fetch deadline, and
+//                ranks + enqueues the frame's prefetch work;
+//   acquire      requests the selected tier (so distant groups stream
+//                importance-pruned subsets), attributes the outcome to the
+//                loader's SessionCacheStats, and — once per (frame, group)
+//                — counts a deadline fallback and re-queues its wanted
+//                tier at kUrgentPriority;
+//   end_frame    drops exactly the pins begin_frame took.
+// A demand miss still stalls the render worker that hits it; the loader's
+// job is making those stalls rare.
 //
 // Ranking (rank_prefetch_groups): a group is a candidate when its directory
 // AABB, padded by the envelope's worst-case projection drift, touches the
@@ -20,8 +27,8 @@
 // fetches are capped by a group-count and a byte budget — the
 // fetch-bandwidth knob — with each candidate charged at its tier's bytes.
 //
-// Prefetch scheduling is a PRIORITY queue, not a FIFO: both front-ends
-// push PrefetchRequests — priority = the ranking's near-to-far depth, ties
+// Prefetch scheduling is a PRIORITY queue, not a FIFO: loaders push
+// PrefetchRequests — priority = the ranking's near-to-far depth, ties
 // broken by ascending group id so equal-rank order is deterministic — into
 // a PrefetchPriorityQueue and drain it most-urgent-first. A demand acquire
 // that missed its frame's fetch deadline (served from the cache's coarse
@@ -29,26 +36,25 @@
 // kUrgentPriority, ahead of every ranked candidate, so the group streams
 // in at full fidelity for the following frames instead of being blocked
 // on. Requests may carry their own deadline; a request that expires before
-// its pop is dropped (expired_requests()) — its frame is already over.
+// its pop is dropped (PrefetchPriorityQueue::expired()) — its frame is
+// already over.
 //
-// SharedPrefetchQueue is the N-session variant: every session enqueues its
-// own ranking into ONE priority queue over one or more per-scene cache
-// shards (requests are keyed by (scene, group, tier)). Requests for a
+// SharedPrefetchQueue holds ONE priority queue over one or more per-scene
+// cache shards (requests are keyed by (scene, group, tier)). Requests for a
 // (scene, group) already pending at the same or a better tier are merged
-// (fetched once, counted in merged_requests()), and every drain task runs
-// the queue dry — so no session starves: a request pushed before batch k's
-// drain is fetched no later than that drain, regardless of which session
-// or scene pushed it.
+// (fetched once, counted in merged()), and every drain task runs the queue
+// dry — so no session starves: a request pushed before batch k's drain is
+// fetched no later than that drain, regardless of which session or scene
+// pushed it.
 //
-// Thread-safety: StreamingLoader assumes one driving session (its frame
-// bracket is the single-session GroupSource contract), but its fetches run
-// concurrently with render workers. SharedPrefetchQueue::enqueue and both
-// classes' fallback re-queues are safe from any number of threads.
+// Thread-safety: a loader has one driving viewer (its frames are
+// sequential), but acquire() runs on every render worker and its fetches
+// run concurrently with them. SharedPrefetchQueue::enqueue and
+// requeue_urgent are safe from any number of threads.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <limits>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -92,8 +98,8 @@ inline constexpr float kUrgentPriority = -1.0f;
 
 // One group worth fetching, at the tier the policy wants it. Requests are
 // keyed by (scene, group, tier): `scene` indexes the shard cache of a
-// multi-scene SharedPrefetchQueue (always 0 for single-scene front-ends),
-// so two scenes' groups with the same dense id never merge.
+// multi-scene SharedPrefetchQueue (always 0 for a single viewer), so two
+// scenes' groups with the same dense id never merge.
 struct PrefetchRequest {
   voxel::DenseVoxelId id = 0;
   std::uint32_t scene = 0;
@@ -110,9 +116,9 @@ struct PrefetchRequest {
   SessionCacheStats* sink = nullptr;
 };
 
-// The deduplicated, deadline-aware priority queue both prefetch front-ends
-// schedule on. push() merges against pending work: a group already pending
-// at the same or a better tier absorbs the new request (merged(),
+// The deduplicated, deadline-aware priority queue under every
+// SharedPrefetchQueue. push() merges against pending work: a group already
+// pending at the same or a better tier absorbs the new request (merged(),
 // dropped); a strictly better tier supersedes the pending one. pop()
 // yields the most urgent live request — lowest priority value first, ties
 // by ascending group id — dropping expired requests (expired()) on the
@@ -169,16 +175,15 @@ class PrefetchPriorityQueue {
 // Fetch-worthy groups for `intent` against `cache`'s store, best first
 // (near-to-far), capped by the config's group/byte budgets. A group
 // qualifies when it is absent or resident only at a worse tier than
-// config.lod wants. The shared ranking core of StreamingLoader and
-// SharedPrefetchQueue.
+// config.lod wants. The ranking SharedPrefetchQueue::enqueue runs.
 std::vector<PrefetchRequest> rank_prefetch_groups(
     const ResidencyCache& cache, const FrameIntent& intent,
     const PrefetchConfig& config);
 
-// Thread-safe per-session cache-counter sink. A session's own front-end
-// (serve::SessionSource) and the shared fetch queue both credit it: render
-// workers record hits/misses concurrently while the async lane records the
-// prefetches this session's intents initiated.
+// Thread-safe per-viewer cache-counter sink. A loader and the shared fetch
+// queue both credit it: render workers record hits/misses concurrently
+// while the async lane records the prefetches this viewer's intents
+// initiated.
 class SessionCacheStats {
  public:
   void record_acquire(const AcquireOutcome& outcome) {
@@ -206,13 +211,13 @@ class SessionCacheStats {
       // Hits — including deadline fallbacks (outcome.coarse_fallback),
       // which are hits at the served floor/stale tier; the once-per-
       // (frame, group) fallback counter is credited separately through
-      // record_coarse_fallback() by the frame front-end that dedups it.
+      // record_coarse_fallback() by the loader that dedups it.
       ++stats_.hits;
       ++stats_.tier_hits[static_cast<std::size_t>(outcome.served_tier)];
     }
   }
   // Called once per (frame, group) served from the coarse floor — the
-  // front-end dedups, so session counters sum to the cache's global one.
+  // loader dedups, so per-viewer counters sum to the cache's global one.
   void record_coarse_fallback() {
     std::lock_guard<std::mutex> lk(mutex_);
     ++stats_.coarse_fallbacks;
@@ -238,12 +243,10 @@ class SessionCacheStats {
     std::lock_guard<std::mutex> lk(mutex_);
     stats_.abr_demotions += n;
   }
-  // This session's measured link estimate: what its frame front-end copies
-  // into LodPolicy::link_bandwidth_bytes_per_sec before tier selection.
+  // This viewer's measured link estimate: what its loader copies into
+  // LodPolicy::link_bandwidth_bytes_per_sec before tier selection. Reads
   // 0 until a transfer with non-zero duration completes.
-  double estimated_bandwidth_bps() const {
-    return estimator_.bandwidth_bytes_per_sec();
-  }
+  const BandwidthEstimator& estimator() const { return estimator_; }
   // A prefetch this session requested was attempted and errored (the batch
   // continues past it; the error is attributed here). Unlike the traffic
   // counters, errors are not tier-resolved in StreamCacheStats.
@@ -271,83 +274,27 @@ class SessionCacheStats {
   BandwidthEstimator estimator_;
 };
 
-class StreamingLoader final : public GroupSource {
- public:
-  explicit StreamingLoader(ResidencyCache& cache, PrefetchConfig config = {});
-  // Drains in-flight async fetches (they capture `this`).
-  ~StreamingLoader() override;
-
-  void begin_frame(const FrameIntent& intent,
-                   std::span<const voxel::DenseVoxelId> plan_voxels) override;
-  void end_frame() override;
-  GroupView acquire(voxel::DenseVoxelId v) override;
-  void release(voxel::DenseVoxelId v) override;
-  core::StreamCacheStats stats() const override;
-
-  // Ranking for this loader's cache and config. Exposed for tests.
-  std::vector<PrefetchRequest> rank_prefetch(const FrameIntent& intent) const;
-
-  // Blocks until all submitted prefetch batches have landed.
-  void wait_idle() const;
-
-  // The last begin_frame's tier selection (histogram + demotions), for
-  // reporting degraded frames. Valid between begin_frame and the next.
-  const TierSelection& frame_selection() const { return selection_; }
-
-  // The loader's priority queue (pending/merged/expired introspection).
-  const PrefetchPriorityQueue& queue() const { return queue_; }
-
-  // The loader's link estimate over its completed demand + prefetch
-  // transfers. begin_frame folds it into tier selection when the config's
-  // LodPolicy enables the ABR term (abr_frame_budget_ns > 0).
-  const BandwidthEstimator& estimator() const { return estimator_; }
-
-  ResidencyCache& cache() { return *cache_; }
-  const PrefetchConfig& config() const { return config_; }
-
- private:
-  void drain_queue();
-
-  ResidencyCache* cache_;
-  PrefetchConfig config_;
-  TierSelection selection_;  // tier_by_group consulted by acquire()
-  PrefetchPriorityQueue queue_;
-  // Link estimate fed by every completed transfer this loader triggered;
-  // stats() reports the ABR demotions its frames accumulated (the cache's
-  // global counter stays 0 — demotion is a front-end decision).
-  BandwidthEstimator estimator_;
-  std::atomic<std::uint64_t> abr_demotions_{0};
-  // This frame's absolute demand-fetch deadline on core::stage_clock_ns
-  // (computed in begin_frame from the intent's/config's relative budget).
-  std::uint64_t frame_deadline_ns_ = kNoFetchDeadline;
-  // Groups already served from the coarse floor this frame: acquire() runs
-  // on every render worker, but the fallback counter and the urgent
-  // re-queue must fire once per (frame, group).
-  std::mutex fallback_mutex_;
-  std::unordered_set<voxel::DenseVoxelId> fallback_seen_;
-};
-
-// One fetch queue shared by N viewer sessions over one or more per-scene
+// One fetch queue shared by N viewers over one or more per-scene
 // ResidencyCache shards.
 //
-// Each session calls enqueue() at the top of its frame with its own camera
-// intent, its scene index, and optionally its SessionCacheStats sink for
-// attribution plus its own LodPolicy. The queue ranks the session's
-// candidates against ITS scene's shard and pushes them into the shared
-// PrefetchPriorityQueue keyed by (scene, group, tier) — groups already
-// pending for *any* session of the same scene at the same or a better tier
-// merge away (the request is served by the fetch already on its way);
-// requests from different scenes never merge — then schedules a drain on
-// the async FIFO lane. Every drain runs the queue dry, most-urgent-first
-// across all scenes and sessions, so service is bounded for every session:
-// a request pushed before batch k's drain is fetched no later than that
-// drain, whoever pushed it.
+// Each loader calls enqueue() at the top of its frame with its camera
+// intent, its scene index, its SessionCacheStats sink for attribution and
+// its frame's LodPolicy (ABR term already filled). The queue ranks the
+// viewer's candidates against ITS scene's shard and pushes them into the
+// shared PrefetchPriorityQueue keyed by (scene, group, tier) — groups
+// already pending for *any* viewer of the same scene at the same or a
+// better tier merge away (the request is served by the fetch already on
+// its way); requests from different scenes never merge — then schedules a
+// drain on the async FIFO lane. Every drain runs the queue dry,
+// most-urgent-first across all scenes and viewers, so service is bounded
+// for every viewer: a request pushed before batch k's drain is fetched no
+// later than that drain, whoever pushed it.
 class SharedPrefetchQueue {
  public:
-  // Single-scene front-end (the PR 3 shape): one cache, scene index 0.
+  // Single-scene queue: one cache, scene index 0.
   explicit SharedPrefetchQueue(ResidencyCache& cache,
                                PrefetchConfig config = {});
-  // Multi-scene front-end: shards[k] is scene k's cache. The shard set is
+  // Multi-scene queue: shards[k] is scene k's cache. The shard set is
   // fixed for the queue's lifetime; every shard must outlive it. Throws
   // std::invalid_argument on an empty or null-holding shard list.
   SharedPrefetchQueue(std::vector<ResidencyCache*> shards,
@@ -355,21 +302,21 @@ class SharedPrefetchQueue {
   // Drains in-flight batches (their tasks capture `this`).
   ~SharedPrefetchQueue();
 
-  // Ranks + enqueues one session's prefetch work against scene `scene`'s
+  // Ranks + enqueues one viewer's prefetch work against scene `scene`'s
   // shard. Returns the number of groups newly queued (after merging with
-  // other sessions' pending requests). `sink`, when non-null, is credited
+  // other viewers' pending requests). `sink`, when non-null, is credited
   // for every group this call's batch actually fetches — including fetches
-  // that land after the session's frame ended (the counters are cumulative
+  // that land after the viewer's frame ended (the counters are cumulative
   // and monotone). `lod`, when non-null, overrides the queue config's
-  // policy — the per-session quality knob of the serve layer. Throws
-  // std::out_of_range for an unknown scene.
+  // policy — the per-viewer quality knob. Throws std::out_of_range for an
+  // unknown scene.
   std::size_t enqueue(const FrameIntent& intent,
                       SessionCacheStats* sink = nullptr,
                       const LodPolicy* lod = nullptr,
                       std::uint32_t scene = 0);
 
   // Deadline-fallback re-queue: pushes (scene, id, tier) at
-  // kUrgentPriority so the group a session just served from the coarse
+  // kUrgentPriority so the group a viewer just served from the coarse
   // floor streams in at its wanted tier ahead of every ranked candidate.
   // Schedules a drain unless the queue is synchronous (then the next
   // enqueue drains it). Safe from any render worker.
@@ -380,17 +327,12 @@ class SharedPrefetchQueue {
   // Blocks until every batch enqueued before this call has landed.
   void wait_idle() const;
 
-  // Requests dropped because the same (scene, group) was already pending
-  // at the same or a better tier for some session: the fetch-traffic the
-  // merge saved, in group requests.
-  std::uint64_t merged_requests() const;
-  // Requests still pending in the shared priority queue (0 after a
-  // wait_idle with no concurrent enqueues: nothing starves).
-  std::size_t pending_requests() const;
-  // Requests dropped at pop because their deadline had passed.
-  std::uint64_t expired_requests() const;
+  // The shared priority queue: pending() is 0 after a wait_idle with no
+  // concurrent enqueues (nothing starves), merged() counts requests a
+  // pending same-or-better request absorbed (the fetch traffic the merge
+  // saved), expired() those dropped past their deadline.
+  const PrefetchPriorityQueue& queue() const { return queue_; }
 
-  std::size_t scene_count() const { return shards_.size(); }
   ResidencyCache& cache(std::uint32_t scene = 0) {
     return *shards_.at(scene);
   }
@@ -402,6 +344,72 @@ class SharedPrefetchQueue {
   std::vector<ResidencyCache*> shards_;  // indexed by scene
   PrefetchConfig config_;
   PrefetchPriorityQueue queue_;
+};
+
+class StreamingLoader final : public GroupSource {
+ public:
+  // Single viewer: owns a one-scene SharedPrefetchQueue over `cache` with
+  // config's caps, deadline and lane mode, and streams under config.lod.
+  // stats() reports the cache's global counters (evictions included) with
+  // this loader's ABR demotions.
+  explicit StreamingLoader(ResidencyCache& cache, PrefetchConfig config = {});
+  // Serve session: streams scene `scene` of a server's shared `queue` —
+  // whose config supplies the caps, deadline and lane mode — under its own
+  // `lod`. stats() reports this session's attributed traffic only
+  // (evictions stay 0: they belong to the shared shard). Throws
+  // std::out_of_range for an unknown scene.
+  StreamingLoader(SharedPrefetchQueue& queue, LodPolicy lod,
+                  std::uint32_t scene);
+  // Drains in-flight async fetches (they credit this loader's counters).
+  ~StreamingLoader() override;
+
+  void begin_frame(const FrameIntent& intent,
+                   std::span<const voxel::DenseVoxelId> plan_voxels) override;
+  void end_frame() override;
+  GroupView acquire(voxel::DenseVoxelId v) override;
+  void release(voxel::DenseVoxelId v) override;
+  core::StreamCacheStats stats() const override;
+
+  // Blocks until all submitted prefetch batches have landed.
+  void wait_idle() const;
+
+  // The last begin_frame's tier selection (histogram + demotions), for
+  // reporting degraded frames. Valid between begin_frame and the next.
+  const TierSelection& frame_selection() const { return selection_; }
+
+  // The priority queue this loader schedules on (pending/merged/expired).
+  const PrefetchPriorityQueue& queue() const { return queue_->queue(); }
+
+  // The link estimate over this loader's completed demand + prefetch
+  // transfers. begin_frame folds it into tier selection when the LodPolicy
+  // enables the ABR term (abr_frame_budget_ns > 0).
+  const BandwidthEstimator& estimator() const {
+    return counters_.estimator();
+  }
+
+  // Scene index this loader streams (0 for a single viewer).
+  std::uint32_t scene() const { return scene_; }
+
+ private:
+  // Set for a single viewer only; queue_ points at it or at the server's.
+  std::unique_ptr<SharedPrefetchQueue> owned_queue_;
+  SharedPrefetchQueue* queue_;
+  ResidencyCache* cache_;
+  LodPolicy lod_;
+  std::uint32_t scene_ = 0;
+  // Every hit, miss, prefetch, fallback and demotion this loader caused;
+  // also the home of its BandwidthEstimator.
+  SessionCacheStats counters_;
+  std::vector<voxel::DenseVoxelId> pinned_;  // this frame's plan pins
+  TierSelection selection_;  // tier_by_group consulted by acquire()
+  // This frame's absolute demand-fetch deadline on core::stage_clock_ns
+  // (computed in begin_frame from the intent's/queue's relative budget).
+  std::uint64_t frame_deadline_ns_ = kNoFetchDeadline;
+  // Groups already served from the coarse floor this frame: acquire() runs
+  // on every render worker, but the fallback counter and the urgent
+  // re-queue must fire once per (frame, group).
+  std::mutex fallback_mutex_;
+  std::unordered_set<voxel::DenseVoxelId> fallback_seen_;
 };
 
 }  // namespace sgs::stream

@@ -148,6 +148,94 @@ TEST(ServeGolden, EightSessionsBitIdenticalVq) {
   golden_multi_session(/*vq=*/true);
 }
 
+// --------------------------------- one front-end: standalone == one session
+
+// A standalone StreamingLoader and a one-session SceneServer are the same
+// per-frame front-end in two constructions. Over the same store and path
+// with synchronous prefetch they must render identical pixels and record
+// identical per-frame cache deltas — except evictions, which a standalone
+// loader reports from its cache and a serve session never attributes. One
+// render worker keeps the LRU order (and so every counter) reproducible,
+// and a memory-backed store keeps transfer times at zero.
+void expect_loader_matches_session(bool adaptive_floor) {
+  const auto scene = test_scene(adaptive_floor ? 51 : 50, 2500, /*vq=*/false);
+  TempFile file(adaptive_floor ? "/tmp/sgs_test_serve_eq_floor.sgsc"
+                               : "/tmp/sgs_test_serve_eq_l0.sgsc");
+  ASSERT_TRUE(stream::AssetStore::write(
+      file.path, scene,
+      adaptive_floor ? stream::AssetStoreWriteOptions::with_coarse_floor()
+                     : stream::AssetStoreWriteOptions{}));
+  const auto opened =
+      stream::AssetStore::open(stream::MemoryBackend::from_file(file.path));
+  ASSERT_NE(opened, nullptr);
+  const stream::AssetStore& store = *opened;
+  const auto path = session_path(0, 4, 128);
+  const int saved_parallelism = parallelism();
+  set_parallelism(1);
+
+  SceneServerConfig cfg;
+  cfg.cache.budget_bytes = store.decoded_bytes_total() * 35 / 100;
+  cfg.prefetch.synchronous = true;
+  if (adaptive_floor) {
+    cfg.cache.coarse_floor_budget_bytes = store.decoded_bytes_total();
+    cfg.prefetch.fetch_deadline_ns = 0;
+    cfg.lod.footprint_full_px = 40.0f;  // sized to the 128 px test camera
+    cfg.lod.footprint_half_px = 20.0f;
+    cfg.lod.reserve_coarse_tier = true;
+  } else {
+    cfg.lod.force_tier0 = true;
+  }
+  cfg.prefetch.lod = cfg.lod;
+
+  stream::ResidencyCache cache(store, cfg.cache);
+  stream::StreamingLoader loader(cache, cfg.prefetch);
+  const auto scene_ooc = store.make_scene();
+  const auto alone = core::render_sequence(scene_ooc, path, {}, &loader);
+  const auto served = SceneServer(store, cfg).run({path});
+  set_parallelism(saved_parallelism);
+
+  ASSERT_EQ(served.sessions.size(), 1u);
+  ASSERT_EQ(served.sessions[0].size(), alone.frames.size());
+  std::uint64_t fallbacks = 0;
+  for (std::size_t f = 0; f < path.size(); ++f) {
+    const auto& a = alone.frames[f];
+    const auto& b = served.sessions[0][f];
+    EXPECT_EQ(a.image.pixels(), b.image.pixels()) << "frame " << f;
+    const core::StreamCacheStats& x = a.trace.cache;
+    const core::StreamCacheStats& y = b.trace.cache;
+    EXPECT_EQ(x.hits, y.hits) << "frame " << f;
+    EXPECT_EQ(x.misses, y.misses) << "frame " << f;
+    EXPECT_EQ(x.prefetches, y.prefetches) << "frame " << f;
+    EXPECT_EQ(x.bytes_fetched, y.bytes_fetched) << "frame " << f;
+    EXPECT_EQ(x.tier_hits, y.tier_hits) << "frame " << f;
+    EXPECT_EQ(x.tier_misses, y.tier_misses) << "frame " << f;
+    EXPECT_EQ(x.tier_prefetches, y.tier_prefetches) << "frame " << f;
+    EXPECT_EQ(x.tier_bytes_fetched, y.tier_bytes_fetched) << "frame " << f;
+    EXPECT_EQ(x.upgrades, y.upgrades) << "frame " << f;
+    EXPECT_EQ(x.fetch_errors, y.fetch_errors) << "frame " << f;
+    EXPECT_EQ(x.degraded_groups, y.degraded_groups) << "frame " << f;
+    EXPECT_EQ(x.failed_groups, y.failed_groups) << "frame " << f;
+    EXPECT_EQ(x.coarse_fallbacks, y.coarse_fallbacks) << "frame " << f;
+    EXPECT_EQ(x.net_bytes, y.net_bytes) << "frame " << f;
+    EXPECT_EQ(x.net_stall_ns, y.net_stall_ns) << "frame " << f;
+    EXPECT_EQ(x.abr_demotions, y.abr_demotions) << "frame " << f;
+    EXPECT_EQ(y.evictions, 0u) << "frame " << f;
+    fallbacks += x.coarse_fallbacks;
+  }
+  // Each case exercised its path: the floor case really served the floor.
+  if (adaptive_floor) {
+    EXPECT_GT(fallbacks, 0u);
+  }
+}
+
+TEST(OneFrontEnd, StandaloneLoaderMatchesOneSessionForcedL0) {
+  expect_loader_matches_session(/*adaptive_floor=*/false);
+}
+
+TEST(OneFrontEnd, StandaloneLoaderMatchesOneSessionAdaptiveFloor) {
+  expect_loader_matches_session(/*adaptive_floor=*/true);
+}
+
 // ------------------------------------------------- refcounted plan pinning
 
 TEST(SharedCache, PlanPinsRefcountAcrossSessions) {
@@ -164,9 +252,9 @@ TEST(SharedCache, PlanPinsRefcountAcrossSessions) {
   const std::vector<voxel::DenseVoxelId> shared_set = {0, 1};
   cache.pin_plan(shared_set);  // session A's plan
   cache.pin_plan(shared_set);  // session B pins the same groups
-  cache.acquire(0);
+  cache.acquire_outcome(0);
   cache.release(0);
-  cache.acquire(1);
+  cache.acquire_outcome(1);
   cache.release(1);
 
   // A's frame ends: B still holds the groups — eviction must respect the
@@ -217,9 +305,9 @@ TEST(SharedCache, ConcurrentStressCountersConsistentNoDoubleDecode) {
           const auto v = static_cast<voxel::DenseVoxelId>(
               (x >> 33) % static_cast<std::uint64_t>(n_groups));
           if (i % 5 == 4) {
-            cache.prefetch(v);
+            cache.prefetch_checked(v);
           } else {
-            cache.acquire(v);
+            cache.acquire_outcome(v);
             cache.release(v);
             acquires.fetch_add(1, std::memory_order_relaxed);
           }
@@ -269,7 +357,7 @@ TEST(SharedCache, ConcurrentStressCountersConsistentNoDoubleDecode) {
           }
           cache.pin_plan(plan);
           for (const voxel::DenseVoxelId v : plan) {
-            const stream::GroupView view = cache.acquire(v);
+            const stream::GroupView view = cache.acquire_outcome(v).view;
             EXPECT_EQ(view.size(), store.group_indices(v).size());
             cache.release(v);
             acquires.fetch_add(1, std::memory_order_relaxed);
@@ -389,7 +477,7 @@ TEST(SharedQueue, MergesDuplicateRequestsAcrossSessions) {
   // already queued by A — merged, nothing new.
   const std::size_t queued_b = queue.enqueue(intent, &sink_b);
   EXPECT_EQ(queued_b, 0u);
-  EXPECT_GE(queue.merged_requests(), queued_a);
+  EXPECT_GE(queue.queue().merged(), queued_a);
 
   gate.set_value();
   queue.wait_idle();
@@ -643,8 +731,8 @@ TEST(ServeGolden, TwoSceneHostBitIdentical) {
   SceneServer server({&store_a, &store_b}, cfg);
   ASSERT_EQ(server.scene_count(), 2u);
   // Construction splits the global budget exactly (remainder on shard 0).
-  EXPECT_EQ(server.shard_budget_bytes(0) + server.shard_budget_bytes(1),
-            cfg.cache.budget_bytes);
+  const std::vector<std::uint64_t> split = server.shard_budgets();
+  EXPECT_EQ(split[0] + split[1], cfg.cache.budget_bytes);
 
   std::vector<std::vector<gs::Camera>> paths;
   for (int s = 0; s < n_sessions; ++s) {
@@ -898,11 +986,13 @@ TEST(ShardBudget, ConservedUnderConcurrentRebalance) {
   std::atomic<std::uint64_t> samples{0};
   std::thread sampler([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      const std::uint64_t b0 = server.shard_budget_bytes(0);
-      const std::uint64_t b1 = server.shard_budget_bytes(1);
-      // Conservation: sampled across the two shards mid-rebalance, the
-      // shares may be caught between the shrink and grow passes — their
-      // sum must never EXCEED the global budget (and snaps back to it).
+      // One snapshot under the governor's lock: reading the shards one at
+      // a time could straddle a rebalance and double-count moved bytes.
+      const std::vector<std::uint64_t> budgets = server.shard_budgets();
+      const std::uint64_t b0 = budgets[0];
+      const std::uint64_t b1 = budgets[1];
+      // Conservation: the shares sampled mid-run must never EXCEED the
+      // global budget.
       EXPECT_LE(b0 + b1, global);
       EXPECT_GE(b0, global / 8);  // floor share: global / (4 * n_shards)
       EXPECT_GE(b1, global / 8);
@@ -915,9 +1005,9 @@ TEST(ShardBudget, ConservedUnderConcurrentRebalance) {
 
   EXPECT_GT(samples.load(), 0u);
   // Quiescent: the split is exact again and skewed toward the hot scene.
-  EXPECT_EQ(server.shard_budget_bytes(0) + server.shard_budget_bytes(1),
-            global);
-  EXPECT_GE(server.shard_budget_bytes(0), server.shard_budget_bytes(1));
+  const std::vector<std::uint64_t> settled = server.shard_budgets();
+  EXPECT_EQ(settled[0] + settled[1], global);
+  EXPECT_GE(settled[0], settled[1]);
   // The governor ran under real pressure, and with every pin dropped each
   // shard drained under its share — so total residency fits the global
   // budget.

@@ -447,7 +447,7 @@ TEST(ResidencyCache, HitsMissesAndLruEviction) {
   ResidencyCache cache(store, cfg);
 
   auto touch = [&cache](voxel::DenseVoxelId v) {
-    cache.acquire(v);
+    cache.acquire_outcome(v);
     cache.release(v);
   };
 
@@ -495,7 +495,7 @@ TEST(ResidencyCache, DeterministicUnderFixedRequestTrace) {
   cfg.budget_bytes = store.payload_bytes_total() / 3;
   auto run = [&](ResidencyCache& cache) {
     for (const voxel::DenseVoxelId v : trace) {
-      cache.acquire(v);
+      cache.acquire_outcome(v);
       cache.release(v);
     }
     return cache.stats();
@@ -527,17 +527,17 @@ TEST(ResidencyCache, PlanPinsBlockEvictionUntilEndFrame) {
   ResidencyCache cache(store, cfg);
 
   const std::vector<voxel::DenseVoxelId> pinned = {0, 1};
-  cache.begin_frame(FrameIntent{}, pinned);
-  cache.acquire(0);
+  cache.pin_plan(pinned);
+  cache.acquire_outcome(0);
   cache.release(0);
-  cache.acquire(1);
+  cache.acquire_outcome(1);
   cache.release(1);
   // Both released and far over budget, yet plan-pinned: still resident.
   EXPECT_TRUE(cache.resident(0));
   EXPECT_TRUE(cache.resident(1));
   EXPECT_EQ(cache.stats().evictions, 0u);
 
-  cache.end_frame();  // pins drop; the overshoot drains
+  cache.unpin_plan(pinned);  // pins drop; the overshoot drains
   EXPECT_FALSE(cache.resident(0));
   EXPECT_FALSE(cache.resident(1));
   EXPECT_EQ(cache.stats().evictions, 2u);
@@ -550,9 +550,10 @@ TEST(ResidencyCache, PrefetchCountsSeparatelyFromMisses) {
   AssetStore store(file.path);
   ResidencyCache cache(store, {});
 
-  EXPECT_TRUE(cache.prefetch(0));
-  EXPECT_FALSE(cache.prefetch(0));  // already resident
-  cache.acquire(0);
+  EXPECT_EQ(cache.prefetch_checked(0), PrefetchResult::kFetched);
+  // Already resident.
+  EXPECT_NE(cache.prefetch_checked(0), PrefetchResult::kFetched);
+  cache.acquire_outcome(0);
   cache.release(0);
   const auto s = cache.stats();
   EXPECT_EQ(s.prefetches, 1u);
@@ -636,20 +637,22 @@ TEST(ResidencyCache, PrefetchUpgradesUnpinnedGroupsOnly) {
   ResidencyCache cache(store, {});
 
   // Prefetch at L2, then an L0 prefetch upgrades in place.
-  EXPECT_TRUE(cache.prefetch(0, 2));
+  const auto fetched = PrefetchResult::kFetched;
+  EXPECT_EQ(cache.prefetch_checked(0, 2), fetched);
   EXPECT_EQ(cache.resident_tier(0), 2);
-  EXPECT_FALSE(cache.prefetch(0, 2));  // already satisfied
-  EXPECT_TRUE(cache.prefetch(0, 0));   // upgrade
+  EXPECT_NE(cache.prefetch_checked(0, 2), fetched);  // already satisfied
+  EXPECT_EQ(cache.prefetch_checked(0, 0), fetched);  // upgrade
   EXPECT_EQ(cache.resident_tier(0), 0);
-  EXPECT_FALSE(cache.prefetch(0, 1));  // resident tier is better: no-op
+  // Resident tier is better: no-op.
+  EXPECT_NE(cache.prefetch_checked(0, 1), fetched);
 
   // A pinned group refuses the prefetch upgrade (it must not block the
   // async lane on the readers); demand acquire pays it after release.
   cache.acquire_outcome(1, 2);
-  EXPECT_FALSE(cache.prefetch(1, 0));
+  EXPECT_NE(cache.prefetch_checked(1, 0), fetched);
   EXPECT_EQ(cache.resident_tier(1), 2);
   cache.release(1);
-  EXPECT_TRUE(cache.prefetch(1, 0));
+  EXPECT_EQ(cache.prefetch_checked(1, 0), fetched);
   EXPECT_EQ(cache.resident_tier(1), 0);
 
   const auto s = cache.stats();
@@ -788,12 +791,11 @@ TEST(StreamingLoader, RanksVisibleGroupsNearToFarUnderCaps) {
 
   PrefetchConfig pcfg;
   pcfg.max_groups_per_frame = 8;
-  StreamingLoader loader(cache, pcfg);
 
   const gs::Camera cam = test_camera();
   FrameIntent intent;
   intent.camera = &cam;
-  const auto batch = loader.rank_prefetch(intent);
+  const auto batch = rank_prefetch_groups(cache, intent, pcfg);
   ASSERT_FALSE(batch.empty());
   EXPECT_LE(batch.size(), pcfg.max_groups_per_frame);
 
@@ -809,8 +811,8 @@ TEST(StreamingLoader, RanksVisibleGroupsNearToFarUnderCaps) {
   }
 
   // Resident groups drop out of the ranking.
-  for (const PrefetchRequest& r : batch) cache.prefetch(r.id);
-  const auto batch2 = loader.rank_prefetch(intent);
+  for (const PrefetchRequest& r : batch) cache.prefetch_checked(r.id);
+  const auto batch2 = rank_prefetch_groups(cache, intent, pcfg);
   for (const PrefetchRequest& r : batch2) {
     EXPECT_FALSE(cache.resident(r.id));
   }
@@ -992,8 +994,6 @@ TEST(OutOfCoreGolden, AdaptiveLodSavesFetchBytesWithinPsnrBound) {
   }
 }
 
-// Out-of-core through the bare cache (no loader): every first touch is a
-// demand miss, and the result is still bit-identical.
 TEST(OutOfCoreGolden, ModelFreeSceneWithoutSourceIsRejected) {
   const auto scene = test_scene(20, 400, /*vq=*/false);
   TempFile file("/tmp/sgs_test_nosource.sgsc");
@@ -1008,18 +1008,24 @@ TEST(OutOfCoreGolden, ModelFreeSceneWithoutSourceIsRejected) {
   EXPECT_THROW(seq.render(test_camera()), std::invalid_argument);
 }
 
+// Out-of-core with prefetch switched off (a loader that ranks nothing):
+// every first touch is a demand miss, and the result is still
+// bit-identical.
 TEST(OutOfCoreGolden, BareCacheWithoutLoaderAlsoMatches) {
   const auto scene = test_scene(19, 1500, /*vq=*/false);
   TempFile file("/tmp/sgs_test_bare.sgsc");
   ASSERT_TRUE(AssetStore::write(file.path, scene));
   AssetStore store(file.path);
   ResidencyCache cache(store, {});
+  PrefetchConfig pcfg;
+  pcfg.max_groups_per_frame = 0;
+  StreamingLoader loader(cache, pcfg);
   const auto scene_ooc = store.make_scene();
 
   const gs::Camera cam = test_camera();
   core::SequenceOptions seq;
   core::SequenceRenderer res_renderer(scene, seq);
-  core::SequenceRenderer ooc_renderer(scene_ooc, seq, &cache);
+  core::SequenceRenderer ooc_renderer(scene_ooc, seq, &loader);
   const auto a = res_renderer.render(cam);
   const auto b = ooc_renderer.render(cam);
   EXPECT_EQ(a.image.pixels(), b.image.pixels());
@@ -1217,9 +1223,8 @@ TEST(ResidencyCache, FailedFetchServesDegradedThenNegativeCaches) {
   EXPECT_TRUE(ok.missed);
   EXPECT_GT(ok.view.size(), 0u);
   cache.release(good);
-  // A negative-cached (group, tier) surfaces in the failed-tier snapshot
-  // prefetch ranking masks against (bit 0 = tier 0 on this v1 store).
-  EXPECT_EQ(cache.failed_tier_snapshot()[static_cast<std::size_t>(bad)], 1u);
+  // A negative-cached (group, tier) surfaces in the failed-tier mask
+  // prefetch ranking reads (tier 0 on this v1 store).
   EXPECT_TRUE(cache.tier_failed(bad, 0));
 }
 
@@ -1333,18 +1338,18 @@ TEST(ResidencyCache, FailedUpgradeServesStaleLowerTier) {
 
   // Exhaust the retry budget (denials drain the doubling backoff between
   // the three attempts): tier 0 goes negative-cached while the group is
-  // STILL resident at its stale tier — served degraded, and bit 0 set in
-  // the failed-tier snapshot so prefetch ranking stops proposing the
-  // doomed upgrade. The failure is TIER-scoped: tier 2 stays healthy.
+  // STILL resident at its stale tier — served degraded, and tier 0 failed
+  // in the mask prefetch ranking reads, so it stops proposing the doomed
+  // upgrade. The failure is TIER-scoped: tier 2 stays healthy.
   for (int i = 0; i < 20; ++i) {
     cache.acquire_outcome(v, 0);
     cache.release(v);
   }
   EXPECT_TRUE(cache.group_failed(v));
   EXPECT_TRUE(cache.tier_failed(v, 0));
+  EXPECT_FALSE(cache.tier_failed(v, 1));
   EXPECT_FALSE(cache.tier_failed(v, 2));
   EXPECT_EQ(cache.resident_tier(v), 2);
-  EXPECT_EQ(cache.failed_tier_snapshot()[static_cast<std::size_t>(v)], 1u);
   const AcquireOutcome after = cache.acquire_outcome(v, 0);
   EXPECT_TRUE(after.degraded);
   EXPECT_EQ(after.served_tier, 2);
@@ -1611,7 +1616,7 @@ TEST(CoarseFloor, ExpiredDeadlineAcquireNeverBlocksAndNeverFetches) {
   EXPECT_EQ(s.tier_hits[static_cast<std::size_t>(cache.coarse_tier())],
             served);
   // The cache itself never self-counts fallbacks: the once-per-(frame,
-  // group) dedup belongs to frame-aware front-ends via
+  // group) dedup belongs to the frame-aware StreamingLoader via
   // record_coarse_fallback() (so per-session counters sum to the global).
   EXPECT_EQ(s.coarse_fallbacks, 0u);
 }

@@ -33,10 +33,10 @@ check_contract() {
   done
 }
 
-# 1. Residency pinning: the refcounted multi-session pin path plus the
-#    single-session bracket and per-session attribution.
+# 1. Residency pinning: the refcounted pin path (the only one) plus
+#    per-viewer attribution.
 check_contract "pin contract" src/stream/residency_cache.hpp \
-  pin_plan unpin_plan begin_frame end_frame acquire_outcome prefetch
+  pin_plan unpin_plan acquire_outcome prefetch
 
 # 2. The GroupSource seam the pipeline streams voxel groups through.
 check_contract "GroupSource contract" src/stream/group_source.hpp \
@@ -46,9 +46,10 @@ check_contract "GroupSource contract" src/stream/group_source.hpp \
 check_contract "async lane contract" src/common/parallel.hpp \
   async_submit async_wait_idle
 
-# 4. The serving layer's session lifecycle and reporting.
+# 4. The serving layer's session lifecycle and reporting; each session
+#    streams through the same per-frame front-end a single viewer uses.
 check_contract "serve contract" src/serve/scene_server.hpp \
-  SceneServer SessionSource open_session render_frame ServerReport
+  SceneServer StreamingLoader open_session render_frame ServerReport
 
 # 4b. Serve scale-out: the multiplexed session state machine, typed
 #     admission control, and multi-scene shard surface.
@@ -58,7 +59,7 @@ check_contract "serve admission contract" src/serve/scene_server.hpp \
   max_sessions try_open_session AdmissionResult AdmissionRejectReason \
   AdmissionRejectedError close_session admission_rejects
 check_contract "serve shard contract" src/serve/scene_server.hpp \
-  shard_budget_bytes shard_rebalance_frames scene_count
+  shard_budgets shard_rebalance_frames scene_count
 
 # 5. The LOD tier surface: store tiers, tier selection, cache tagging.
 check_contract "LOD contract" src/stream/lod_policy.hpp \
