@@ -8,6 +8,7 @@
 
 #include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -40,7 +41,8 @@ inline constexpr std::uint64_t kNoFetchDeadline = ~std::uint64_t{0};
 // Wall-clock nanoseconds the software model spent in each pipeline stage.
 // Filled only when stage timing is enabled (StreamingRenderOptions /
 // SequenceOptions); all-zero otherwise. Timing is diagnostic metadata: it
-// never participates in image or stats determinism.
+// never participates in image or stats determinism. Every field has a
+// kStageFields row (below).
 struct StageTimingsNs {
   std::uint64_t plan = 0;    // frame-plan build (voxel table), frame-level
   std::uint64_t vsu = 0;     // ray marching + topological ordering
@@ -57,18 +59,8 @@ struct StageTimingsNs {
   std::uint64_t fetch = 0;
   std::uint64_t decode = 0;
 
-  std::uint64_t total() const {
-    return plan + vsu + filter + sort + blend + fetch + decode;
-  }
-  void accumulate(const StageTimingsNs& o) {
-    plan += o.plan;
-    vsu += o.vsu;
-    filter += o.filter;
-    sort += o.sort;
-    blend += o.blend;
-    fetch += o.fetch;
-    decode += o.decode;
-  }
+  std::uint64_t total() const;
+  void accumulate(const StageTimingsNs& o);
 };
 
 // Monotone per-thread count of nanoseconds this thread spent decoding store
@@ -80,10 +72,14 @@ inline std::uint64_t& thread_decode_ns() {
   return ns;
 }
 
+using TierCounters = std::array<std::uint64_t, kLodTierCount>;
+
 // Residency-cache activity attributed to one frame (out-of-core rendering,
 // src/stream/). All-zero for fully-resident frames. `bytes_fetched` is
 // on-disk .sgsc payload traffic — the stream the DRAM model charges for
-// fetches — not the decoded in-memory footprint.
+// fetches — not the decoded in-memory footprint. Every field has a
+// kStreamCacheFields row (below); stream::count_acquire / count_fetch are
+// the one rule that turns an acquire or a fetch into these counters.
 struct StreamCacheStats {
   std::uint64_t hits = 0;          // acquires served from resident groups
   std::uint64_t misses = 0;        // acquires that had to fetch (stalls)
@@ -98,10 +94,10 @@ struct StreamCacheStats {
   // `upgrades` counts the subset of misses that refetched an
   // already-resident group at a higher-fidelity tier; hence
   // hits + misses == accesses() still holds, and upgrades <= misses.
-  std::array<std::uint64_t, kLodTierCount> tier_hits{};
-  std::array<std::uint64_t, kLodTierCount> tier_misses{};
-  std::array<std::uint64_t, kLodTierCount> tier_prefetches{};
-  std::array<std::uint64_t, kLodTierCount> tier_bytes_fetched{};
+  TierCounters tier_hits{};
+  TierCounters tier_misses{};
+  TierCounters tier_prefetches{};
+  TierCounters tier_bytes_fetched{};
   std::uint64_t upgrades = 0;
 
   // Failure domain (trace v5, all-zero on error-free runs). A fetch that
@@ -151,54 +147,114 @@ struct StreamCacheStats {
                ? 0.0
                : static_cast<double>(hits) / static_cast<double>(accesses());
   }
-  void accumulate(const StreamCacheStats& o) {
-    hits += o.hits;
-    misses += o.misses;
-    prefetches += o.prefetches;
-    evictions += o.evictions;
-    bytes_fetched += o.bytes_fetched;
-    for (int t = 0; t < kLodTierCount; ++t) {
-      tier_hits[t] += o.tier_hits[t];
-      tier_misses[t] += o.tier_misses[t];
-      tier_prefetches[t] += o.tier_prefetches[t];
-      tier_bytes_fetched[t] += o.tier_bytes_fetched[t];
-    }
-    upgrades += o.upgrades;
-    fetch_errors += o.fetch_errors;
-    degraded_groups += o.degraded_groups;
-    failed_groups += o.failed_groups;
-    coarse_fallbacks += o.coarse_fallbacks;
-    net_bytes += o.net_bytes;
-    net_stall_ns += o.net_stall_ns;
-    abr_demotions += o.abr_demotions;
-  }
+  void accumulate(const StreamCacheStats& o);
   // Per-frame delta between two cumulative snapshots of a source's counters
   // (all fields are monotone).
-  StreamCacheStats delta_since(const StreamCacheStats& earlier) const {
-    StreamCacheStats d;
-    d.hits = hits - earlier.hits;
-    d.misses = misses - earlier.misses;
-    d.prefetches = prefetches - earlier.prefetches;
-    d.evictions = evictions - earlier.evictions;
-    d.bytes_fetched = bytes_fetched - earlier.bytes_fetched;
-    for (int t = 0; t < kLodTierCount; ++t) {
-      d.tier_hits[t] = tier_hits[t] - earlier.tier_hits[t];
-      d.tier_misses[t] = tier_misses[t] - earlier.tier_misses[t];
-      d.tier_prefetches[t] = tier_prefetches[t] - earlier.tier_prefetches[t];
-      d.tier_bytes_fetched[t] =
-          tier_bytes_fetched[t] - earlier.tier_bytes_fetched[t];
-    }
-    d.upgrades = upgrades - earlier.upgrades;
-    d.fetch_errors = fetch_errors - earlier.fetch_errors;
-    d.degraded_groups = degraded_groups - earlier.degraded_groups;
-    d.failed_groups = failed_groups - earlier.failed_groups;
-    d.coarse_fallbacks = coarse_fallbacks - earlier.coarse_fallbacks;
-    d.net_bytes = net_bytes - earlier.net_bytes;
-    d.net_stall_ns = net_stall_ns - earlier.net_stall_ns;
-    d.abr_demotions = abr_demotions - earlier.abr_demotions;
-    return d;
-  }
+  StreamCacheStats delta_since(const StreamCacheStats& earlier) const;
 };
+
+// ---- Counter schema ---------------------------------------------------------
+// Each counter above is declared once more, as a table row, in declaration
+// order (also its SGST order, core/trace_io.hpp). Arithmetic, trace I/O,
+// metric publishing (obs/publish.hpp) and the simulator's software stage
+// map iterate the tables; none of them names a field.
+
+// Where the work trace records a counter: once per frame, or once per
+// pixel group (GroupWork::timing_ns).
+enum class CounterScope : std::uint8_t { kFrame, kGroup };
+
+template <typename S>
+struct CounterField {
+  const char* name;  // metric leaf name, sw_stage_ns key, catalog entry
+  const char* unit;  // "count", "bytes" or "ns"
+  std::uint64_t S::*scalar = nullptr;  // a scalar counter, or ...
+  TierCounters S::*tiers = nullptr;    // ... one slot per LOD tier
+  CounterScope scope = CounterScope::kFrame;
+};
+
+inline constexpr CounterField<StageTimingsNs> kStageFields[] = {
+    // `plan` is frame-level: the trace carries it as plan_build_ns.
+    {"plan", "ns", &StageTimingsNs::plan},
+    {"vsu", "ns", &StageTimingsNs::vsu, nullptr, CounterScope::kGroup},
+    {"filter", "ns", &StageTimingsNs::filter, nullptr, CounterScope::kGroup},
+    {"sort", "ns", &StageTimingsNs::sort, nullptr, CounterScope::kGroup},
+    {"blend", "ns", &StageTimingsNs::blend, nullptr, CounterScope::kGroup},
+    {"fetch", "ns", &StageTimingsNs::fetch, nullptr, CounterScope::kGroup},
+    {"decode", "ns", &StageTimingsNs::decode, nullptr, CounterScope::kGroup},
+};
+
+inline constexpr CounterField<StreamCacheStats> kStreamCacheFields[] = {
+    {"hits", "count", &StreamCacheStats::hits},
+    {"misses", "count", &StreamCacheStats::misses},
+    {"prefetches", "count", &StreamCacheStats::prefetches},
+    {"evictions", "count", &StreamCacheStats::evictions},
+    {"bytes_fetched", "bytes", &StreamCacheStats::bytes_fetched},
+    {"tier_hits", "count", nullptr, &StreamCacheStats::tier_hits},
+    {"tier_misses", "count", nullptr, &StreamCacheStats::tier_misses},
+    {"tier_prefetches", "count", nullptr, &StreamCacheStats::tier_prefetches},
+    {"tier_bytes_fetched", "bytes", nullptr,
+     &StreamCacheStats::tier_bytes_fetched},
+    {"upgrades", "count", &StreamCacheStats::upgrades},
+    {"fetch_errors", "count", &StreamCacheStats::fetch_errors},
+    {"degraded_groups", "count", &StreamCacheStats::degraded_groups},
+    {"failed_groups", "count", &StreamCacheStats::failed_groups},
+    {"coarse_fallbacks", "count", &StreamCacheStats::coarse_fallbacks},
+    {"net_bytes", "bytes", &StreamCacheStats::net_bytes},
+    {"net_stall_ns", "ns", &StreamCacheStats::net_stall_ns},
+    {"abr_demotions", "count", &StreamCacheStats::abr_demotions},
+};
+
+// Bytes the rows' slots cover: equal to sizeof the struct exactly when no
+// field lacks a row (every field is a u64 or a TierCounters).
+template <typename S, std::size_t N>
+constexpr std::size_t counter_bytes(const CounterField<S> (&rows)[N]) {
+  std::size_t bytes = 0;
+  for (const auto& row : rows) {
+    bytes += row.scalar != nullptr ? sizeof(std::uint64_t)
+                                   : sizeof(TierCounters);
+  }
+  return bytes;
+}
+static_assert(counter_bytes(kStageFields) == sizeof(StageTimingsNs),
+              "every StageTimingsNs field needs a kStageFields row");
+static_assert(counter_bytes(kStreamCacheFields) == sizeof(StreamCacheStats),
+              "every StreamCacheStats field needs a kStreamCacheFields row");
+
+// Calls f(slot of s0, slot of s1, ...) for every u64 slot of the structs,
+// in table order; a per-tier row yields kLodTierCount slots.
+template <typename Row, std::size_t N, typename F, typename... S>
+void for_each_counter(const Row (&rows)[N], F&& f, S&... s) {
+  for (const Row& row : rows) {
+    if (row.scalar != nullptr) {
+      f(s.*row.scalar...);
+    } else {
+      for (int t = 0; t < kLodTierCount; ++t) f((s.*row.tiers)[t]...);
+    }
+  }
+}
+
+inline std::uint64_t StageTimingsNs::total() const {
+  std::uint64_t t = 0;
+  for_each_counter(kStageFields, [&t](std::uint64_t v) { t += v; }, *this);
+  return t;
+}
+
+inline void StageTimingsNs::accumulate(const StageTimingsNs& o) {
+  for_each_counter(kStageFields, [](auto& a, auto b) { a += b; }, *this, o);
+}
+
+inline void StreamCacheStats::accumulate(const StreamCacheStats& o) {
+  for_each_counter(kStreamCacheFields, [](auto& a, auto b) { a += b; }, *this,
+                   o);
+}
+
+inline StreamCacheStats StreamCacheStats::delta_since(
+    const StreamCacheStats& earlier) const {
+  StreamCacheStats d = *this;
+  for_each_counter(kStreamCacheFields, [](auto& a, auto b) { a -= b; }, d,
+                   earlier);
+  return d;
+}
 
 // One voxel streamed for one pixel group.
 struct VoxelWorkItem {
@@ -234,14 +290,9 @@ struct StreamingTrace {
   std::uint64_t plan_build_ns = 0;
   // Residency-cache deltas for this frame (all-zero when fully resident).
   StreamCacheStats cache;
-  // Serving-host context (trace v9); defaults describe the single-viewer
-  // paths. `scenes` is how many scene shards the host held when this frame
-  // rendered; `admission_rejects` its cumulative admission-reject count at
-  // commit; `queue_wait_ns` how long this frame's session sat in the
-  // multiplexed scheduler's ready queue before a driver picked it up (0
-  // when driven directly, without the scheduler).
-  std::uint32_t scenes = 1;
-  std::uint64_t admission_rejects = 0;
+  // How long this frame's session sat in the multiplexed scheduler's ready
+  // queue before a driver picked it up (trace v9; 0 when driven directly,
+  // without the scheduler).
   std::uint64_t queue_wait_ns = 0;
   std::vector<GroupWork> groups;
 

@@ -21,6 +21,14 @@ T get(std::istream& in) {
   return v;
 }
 
+// The per-group timing block: the kGroup-scope stage rows, in table order.
+template <typename Timing, typename F>
+void for_each_group_timing(Timing& timing, F&& f) {
+  for (const auto& row : kStageFields) {
+    if (row.scope == CounterScope::kGroup) f(timing.*row.scalar);
+  }
+}
+
 }  // namespace
 
 bool write_trace(std::ostream& out, const StreamingTrace& trace) {
@@ -32,33 +40,9 @@ bool write_trace(std::ostream& out, const StreamingTrace& trace) {
   put<std::uint64_t>(out, trace.voxel_table_steps);
   put<std::uint8_t>(out, trace.plan_reused ? 1 : 0);
   put<std::uint64_t>(out, trace.plan_build_ns);
-  put<std::uint64_t>(out, trace.cache.hits);
-  put<std::uint64_t>(out, trace.cache.misses);
-  put<std::uint64_t>(out, trace.cache.prefetches);
-  put<std::uint64_t>(out, trace.cache.evictions);
-  put<std::uint64_t>(out, trace.cache.bytes_fetched);
-  for (int t = 0; t < kLodTierCount; ++t) {
-    put<std::uint64_t>(out, trace.cache.tier_hits[t]);
-  }
-  for (int t = 0; t < kLodTierCount; ++t) {
-    put<std::uint64_t>(out, trace.cache.tier_misses[t]);
-  }
-  for (int t = 0; t < kLodTierCount; ++t) {
-    put<std::uint64_t>(out, trace.cache.tier_prefetches[t]);
-  }
-  for (int t = 0; t < kLodTierCount; ++t) {
-    put<std::uint64_t>(out, trace.cache.tier_bytes_fetched[t]);
-  }
-  put<std::uint64_t>(out, trace.cache.upgrades);
-  put<std::uint64_t>(out, trace.cache.fetch_errors);
-  put<std::uint64_t>(out, trace.cache.degraded_groups);
-  put<std::uint64_t>(out, trace.cache.failed_groups);
-  put<std::uint64_t>(out, trace.cache.coarse_fallbacks);
-  put<std::uint64_t>(out, trace.cache.net_bytes);
-  put<std::uint64_t>(out, trace.cache.net_stall_ns);
-  put<std::uint64_t>(out, trace.cache.abr_demotions);
-  put<std::uint32_t>(out, trace.scenes);
-  put<std::uint64_t>(out, trace.admission_rejects);
+  for_each_counter(
+      kStreamCacheFields,
+      [&out](std::uint64_t v) { put<std::uint64_t>(out, v); }, trace.cache);
   put<std::uint64_t>(out, trace.queue_wait_ns);
   put<std::uint64_t>(out, trace.groups.size());
   for (const GroupWork& g : trace.groups) {
@@ -66,12 +50,8 @@ bool write_trace(std::ostream& out, const StreamingTrace& trace) {
     put<std::uint64_t>(out, g.dda_steps);
     put<std::uint32_t>(out, g.nodes);
     put<std::uint32_t>(out, g.edges);
-    put<std::uint64_t>(out, g.timing_ns.vsu);
-    put<std::uint64_t>(out, g.timing_ns.filter);
-    put<std::uint64_t>(out, g.timing_ns.sort);
-    put<std::uint64_t>(out, g.timing_ns.blend);
-    put<std::uint64_t>(out, g.timing_ns.fetch);
-    put<std::uint64_t>(out, g.timing_ns.decode);
+    for_each_group_timing(
+        g.timing_ns, [&out](std::uint64_t v) { put<std::uint64_t>(out, v); });
     put<std::uint64_t>(out, g.voxels.size());
     for (const VoxelWorkItem& v : g.voxels) {
       put<std::uint32_t>(out, v.residents);
@@ -105,57 +85,32 @@ StreamingTrace read_trace(std::istream& in) {
   trace.voxel_table_steps = get<std::uint64_t>(in);
   trace.plan_reused = get<std::uint8_t>(in) != 0;
   trace.plan_build_ns = get<std::uint64_t>(in);
-  trace.cache.hits = get<std::uint64_t>(in);
-  trace.cache.misses = get<std::uint64_t>(in);
-  trace.cache.prefetches = get<std::uint64_t>(in);
-  trace.cache.evictions = get<std::uint64_t>(in);
-  trace.cache.bytes_fetched = get<std::uint64_t>(in);
-  for (int t = 0; t < kLodTierCount; ++t) {
-    trace.cache.tier_hits[t] = get<std::uint64_t>(in);
-  }
-  for (int t = 0; t < kLodTierCount; ++t) {
-    trace.cache.tier_misses[t] = get<std::uint64_t>(in);
-  }
-  for (int t = 0; t < kLodTierCount; ++t) {
-    trace.cache.tier_prefetches[t] = get<std::uint64_t>(in);
-  }
-  for (int t = 0; t < kLodTierCount; ++t) {
-    trace.cache.tier_bytes_fetched[t] = get<std::uint64_t>(in);
-  }
-  trace.cache.upgrades = get<std::uint64_t>(in);
-  trace.cache.fetch_errors = get<std::uint64_t>(in);
-  trace.cache.degraded_groups = get<std::uint64_t>(in);
-  trace.cache.failed_groups = get<std::uint64_t>(in);
-  trace.cache.coarse_fallbacks = get<std::uint64_t>(in);
-  trace.cache.net_bytes = get<std::uint64_t>(in);
-  trace.cache.net_stall_ns = get<std::uint64_t>(in);
-  trace.cache.abr_demotions = get<std::uint64_t>(in);
-  trace.scenes = get<std::uint32_t>(in);
-  trace.admission_rejects = get<std::uint64_t>(in);
+  for_each_counter(
+      kStreamCacheFields,
+      [&in](std::uint64_t& v) { v = get<std::uint64_t>(in); }, trace.cache);
   trace.queue_wait_ns = get<std::uint64_t>(in);
   const std::uint64_t n_groups = get<std::uint64_t>(in);
   // Sanity cap: one group per pixel is the theoretical maximum.
   if (n_groups > trace.pixel_count + 1) {
     throw std::runtime_error("implausible group count in trace");
   }
-  trace.groups.resize(n_groups);
-  for (GroupWork& g : trace.groups) {
+  // Records are appended as they are read, never sized from the header's
+  // counts: memory stays bounded by the input, and a count the stream does
+  // not back fails as truncation.
+  for (std::uint64_t i = 0; i < n_groups; ++i) {
+    GroupWork& g = trace.groups.emplace_back();
     g.rays = get<std::uint32_t>(in);
     g.dda_steps = get<std::uint64_t>(in);
     g.nodes = get<std::uint32_t>(in);
     g.edges = get<std::uint32_t>(in);
-    g.timing_ns.vsu = get<std::uint64_t>(in);
-    g.timing_ns.filter = get<std::uint64_t>(in);
-    g.timing_ns.sort = get<std::uint64_t>(in);
-    g.timing_ns.blend = get<std::uint64_t>(in);
-    g.timing_ns.fetch = get<std::uint64_t>(in);
-    g.timing_ns.decode = get<std::uint64_t>(in);
+    for_each_group_timing(
+        g.timing_ns, [&in](std::uint64_t& v) { v = get<std::uint64_t>(in); });
     const std::uint64_t n_voxels = get<std::uint64_t>(in);
     if (n_voxels > (std::uint64_t{1} << 32)) {
       throw std::runtime_error("implausible voxel count in trace");
     }
-    g.voxels.resize(n_voxels);
-    for (VoxelWorkItem& v : g.voxels) {
+    for (std::uint64_t k = 0; k < n_voxels; ++k) {
+      VoxelWorkItem& v = g.voxels.emplace_back();
       v.residents = get<std::uint32_t>(in);
       v.coarse_pass = get<std::uint32_t>(in);
       v.fine_pass = get<std::uint32_t>(in);

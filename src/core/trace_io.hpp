@@ -34,7 +34,10 @@ inline constexpr std::uint32_t kTraceMagic = 0x54534753;  // "SGST"
 //     admission_rejects (cumulative host rejects at commit), and
 //     queue_wait_ns (time the frame waited in the multiplexed scheduler's
 //     ready queue) for scale-out serving.
-inline constexpr std::uint32_t kTraceVersion = 9;
+// v10: v9 without scenes / admission_rejects (host-level, they stay in
+//     serve::ServerReport); the cache and stage-timing blocks follow the
+//     kStreamCacheFields / kStageFields row order of streaming_trace.hpp.
+inline constexpr std::uint32_t kTraceVersion = 10;
 
 // Returns false on IO failure.
 bool write_trace(std::ostream& out, const StreamingTrace& trace);

@@ -16,30 +16,19 @@ void set_gauge(const std::string& name, std::uint64_t value) {
 
 void publish_cache_stats(const core::StreamCacheStats& stats,
                          const std::string& prefix) {
-  set_gauge(prefix + ".hits", stats.hits);
-  set_gauge(prefix + ".misses", stats.misses);
-  set_gauge(prefix + ".prefetches", stats.prefetches);
-  set_gauge(prefix + ".evictions", stats.evictions);
-  set_gauge(prefix + ".bytes_fetched", stats.bytes_fetched);
-  set_gauge(prefix + ".upgrades", stats.upgrades);
-  set_gauge(prefix + ".fetch_errors", stats.fetch_errors);
-  set_gauge(prefix + ".degraded_groups", stats.degraded_groups);
-  set_gauge(prefix + ".failed_groups", stats.failed_groups);
-  set_gauge(prefix + ".coarse_fallbacks", stats.coarse_fallbacks);
-  set_gauge(prefix + ".net_bytes", stats.net_bytes);
-  set_gauge(prefix + ".net_stall_ns", stats.net_stall_ns);
-  set_gauge(prefix + ".abr_demotions", stats.abr_demotions);
+  for (const auto& row : core::kStreamCacheFields) {
+    if (row.scalar != nullptr) {  // per-tier rows stay trace-only
+      set_gauge(prefix + "." + row.name, stats.*row.scalar);
+    }
+  }
 }
 
 void publish_stage_timings(const core::StageTimingsNs& timings,
                            const std::string& prefix) {
-  set_gauge(prefix + ".plan_ns", timings.plan);
-  set_gauge(prefix + ".vsu_ns", timings.vsu);
-  set_gauge(prefix + ".filter_ns", timings.filter);
-  set_gauge(prefix + ".sort_ns", timings.sort);
-  set_gauge(prefix + ".blend_ns", timings.blend);
-  set_gauge(prefix + ".fetch_ns", timings.fetch);
-  set_gauge(prefix + ".decode_ns", timings.decode);
+  for (const auto& row : core::kStageFields) {
+    set_gauge(prefix + "." + row.name + "_" + row.unit,
+              timings.*row.scalar);
+  }
 }
 
 void publish_parallel_stats() {

@@ -14,19 +14,19 @@
 
 namespace sgs::obs {
 
-// StreamCacheStats -> gauges: hits, misses, prefetches, evictions,
-// bytes_fetched, upgrades, fetch_errors, degraded_groups, failed_groups,
-// coarse_fallbacks, net_bytes, net_stall_ns, abr_demotions.
+// StreamCacheStats -> one gauge per scalar kStreamCacheFields row, named
+// by the row ("cache.hits"); the per-tier rows are trace-only.
 void publish_cache_stats(const core::StreamCacheStats& stats,
                          const std::string& prefix = "cache");
 
-// StageTimingsNs -> gauges: plan_ns, vsu_ns, filter_ns, sort_ns, blend_ns,
-// fetch_ns, decode_ns.
+// StageTimingsNs -> one gauge per kStageFields row, named by the row and
+// its unit ("stage.filter_ns").
 void publish_stage_timings(const core::StageTimingsNs& timings,
                            const std::string& prefix = "stage");
 
 // Pool + async-lane counters -> gauges: pool.parallelism,
-// async.tasks_completed, async.task_errors.
+// pool.jobs_completed, pool.submit_wait_ns, async.tasks_completed,
+// async.task_errors.
 void publish_parallel_stats();
 
 }  // namespace sgs::obs

@@ -215,11 +215,7 @@ core::StreamingRenderResult SceneServer::render_session_frame(
     s.tier_requests[t] += sel.histogram[t];
   }
   if (sel.demoted > 0) ++s.degraded_frames;
-  // Serving-host trace fields (SGST v9): which host shape produced this
-  // frame and what the scheduler charged it on top of the render.
-  result.trace.scenes = static_cast<std::uint32_t>(shards_.size());
-  result.trace.admission_rejects =
-      admission_rejects_.load(std::memory_order_relaxed);
+  // What the scheduler charged this frame on top of the render (SGST v9).
   result.trace.queue_wait_ns = queue_wait_ns;
   s.frame_ns.record(result.frame_wall_ns);
   s.queue_wait.record(queue_wait_ns);

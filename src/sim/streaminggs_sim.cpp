@@ -175,13 +175,9 @@ SimReport simulate_streaminggs(const core::StreamingTrace& trace,
   // Software-model stage times, when the renderer collected them.
   const core::StageTimingsNs sw = trace.total_stage_ns();
   if (sw.total() > 0) {
-    report.sw_stage_ns["plan"] = static_cast<double>(sw.plan);
-    report.sw_stage_ns["vsu"] = static_cast<double>(sw.vsu);
-    report.sw_stage_ns["filter"] = static_cast<double>(sw.filter);
-    report.sw_stage_ns["sort"] = static_cast<double>(sw.sort);
-    report.sw_stage_ns["blend"] = static_cast<double>(sw.blend);
-    report.sw_stage_ns["fetch"] = static_cast<double>(sw.fetch);
-    report.sw_stage_ns["decode"] = static_cast<double>(sw.decode);
+    for (const auto& row : core::kStageFields) {
+      report.sw_stage_ns[row.name] = static_cast<double>(sw.*row.scalar);
+    }
   }
   return report;
 }

@@ -122,13 +122,7 @@ AcquireOutcome ResidencyCache::acquire_outcome(voxel::DenseVoxelId v, int tier,
       }
       continue;
     }
-    if (e.resident && e.tier <= tier) {
-      if (!out.missed) {
-        ++stats_.hits;
-        ++stats_.tier_hits[static_cast<std::size_t>(e.tier)];
-      }
-      break;
-    }
+    if (e.resident && e.tier <= tier) break;
     // Demand miss (absent) or upgrade (resident at a worse tier): this
     // render worker wants a fetch either way. Error gating first — a
     // negative-cached or backing-off (group, tier) is served degraded
@@ -138,9 +132,6 @@ AcquireOutcome ResidencyCache::acquire_outcome(voxel::DenseVoxelId v, int tier,
     const auto t = static_cast<std::size_t>(tier);
     if (e.tier_failed(tier) || e.backoff_remaining[t] > 0) {
       if (!e.tier_failed(tier)) --e.backoff_remaining[t];
-      ++stats_.misses;
-      ++stats_.tier_misses[t];
-      ++stats_.degraded_groups;
       SGS_TRACE_INSTANT("cache", "degraded", "group",
                         static_cast<std::uint64_t>(v), "tier",
                         static_cast<std::uint64_t>(tier));
@@ -158,14 +149,11 @@ AcquireOutcome ResidencyCache::acquire_outcome(voxel::DenseVoxelId v, int tier,
       fallback = true;
       break;
     }
-    ++stats_.misses;
-    ++stats_.tier_misses[static_cast<std::size_t>(tier)];
     const bool upgrade_attempt = e.resident;
-    if (!fetch_locked(lk, v, tier, /*is_prefetch=*/false)) {
+    if (!fetch_locked(lk, v, tier)) {
       // The fetch failed: serve the stale resident payload when there is
       // one (a failed upgrade keeps its old tier), an empty view otherwise
       // — the frame renders without this group instead of dying with it.
-      ++stats_.degraded_groups;
       SGS_TRACE_INSTANT("cache", "degraded", "group",
                         static_cast<std::uint64_t>(v), "tier",
                         static_cast<std::uint64_t>(tier));
@@ -175,10 +163,7 @@ AcquireOutcome ResidencyCache::acquire_outcome(voxel::DenseVoxelId v, int tier,
       out.error = e.last_error;
       break;
     }
-    if (upgrade_attempt) {
-      ++stats_.upgrades;
-      out.upgraded = true;
-    }
+    out.upgraded = upgrade_attempt;
     out.missed = true;
     out.bytes_fetched = e.group.payload_bytes;
     out.fetch_ns = e.group.fetch_ns;
@@ -196,8 +181,6 @@ AcquireOutcome ResidencyCache::acquire_outcome(voxel::DenseVoxelId v, int tier,
       // Stale-tier fallback: served what is already here, no disk touch —
       // a hit at the stale tier (the caller paid no fetch). The front-end
       // re-queues the wanted tier as an urgent prefetch.
-      ++stats_.hits;
-      ++stats_.tier_hits[static_cast<std::size_t>(e.tier)];
       out.coarse_fallback = true;
       SGS_TRACE_INSTANT("cache", "coarse_fallback", "group",
                         static_cast<std::uint64_t>(v), "tier",
@@ -215,8 +198,6 @@ AcquireOutcome ResidencyCache::acquire_outcome(voxel::DenseVoxelId v, int tier,
     // accounting and merely upgrades the empty view to the floor payload.
     const DecodedGroup& g = floor_[static_cast<std::size_t>(v)];
     if (fallback) {
-      ++stats_.hits;
-      ++stats_.tier_hits[static_cast<std::size_t>(coarse_tier_)];
       out.coarse_fallback = true;
       SGS_TRACE_INSTANT("cache", "coarse_fallback", "group",
                         static_cast<std::uint64_t>(v), "tier",
@@ -234,6 +215,7 @@ AcquireOutcome ResidencyCache::acquire_outcome(voxel::DenseVoxelId v, int tier,
     out.view.cols = nullptr;
     out.view.first = 0;
   }
+  count_acquire(stats_, out);
   return out;
 }
 
@@ -268,9 +250,12 @@ PrefetchResult ResidencyCache::prefetch_checked(voxel::DenseVoxelId v,
     if (!e.tier_failed(tier)) --e.backoff_remaining[t];
     return PrefetchResult::kNegativeCached;
   }
-  if (!fetch_locked(lk, v, tier, /*is_prefetch=*/true)) {
+  if (!fetch_locked(lk, v, tier)) {
+    ++stats_.fetch_errors;
     return PrefetchResult::kErrored;
   }
+  count_fetch(stats_, e.group.payload_bytes, tier, e.group.fetch_ns,
+              /*is_prefetch=*/true);
   if (fetched_bytes != nullptr) *fetched_bytes = e.group.payload_bytes;
   if (fetched_ns != nullptr) *fetched_ns = e.group.fetch_ns;
   evict_over_budget_locked();
@@ -348,8 +333,7 @@ core::StreamCacheStats ResidencyCache::stats() const {
 }
 
 bool ResidencyCache::fetch_locked(std::unique_lock<std::mutex>& lk,
-                                  voxel::DenseVoxelId v, int tier,
-                                  bool is_prefetch) {
+                                  voxel::DenseVoxelId v, int tier) {
   Entry& e = entries_[static_cast<std::size_t>(v)];
   e.loading = true;
   const bool upgrade = e.resident;
@@ -389,7 +373,6 @@ bool ResidencyCache::fetch_locked(std::unique_lock<std::mutex>& lk,
   lk.lock();
   if (!fetched.ok()) {
     const auto t = static_cast<std::size_t>(tier);
-    ++stats_.fetch_errors;
     e.last_error =
         std::make_shared<const StreamError>(fetched.take_error());
     // Saturating: fail_count is a u8 and max_fetch_attempts an unvalidated
@@ -432,18 +415,6 @@ bool ResidencyCache::fetch_locked(std::unique_lock<std::mutex>& lk,
     e.lru_it = lru_.begin();
   }
   resident_bytes_ += e.group.resident_bytes();
-  stats_.bytes_fetched += e.group.payload_bytes;
-  stats_.tier_bytes_fetched[static_cast<std::size_t>(tier)] +=
-      e.group.payload_bytes;
-  // Link accounting (trace v8): the backend transfer this fetch completed.
-  // Fetch-scoped like bytes_fetched — floor pinning and open-time metadata
-  // traffic live in the store backend's own stats(), not here.
-  stats_.net_bytes += e.group.payload_bytes;
-  stats_.net_stall_ns += e.group.fetch_ns;
-  if (is_prefetch) {
-    ++stats_.prefetches;
-    ++stats_.tier_prefetches[static_cast<std::size_t>(tier)];
-  }
   // Deliberately no eviction pass here: a demand-missing acquire must pin
   // the new entry first, or — with every other resident group pinned — the
   // pass could evict the group it just fetched out from under the caller.

@@ -175,6 +175,46 @@ struct AcquireOutcome {
   bool coarse_fallback = false;
 };
 
+// The one accounting rule: the cache (its global counters) and every
+// SessionCacheStats (its own) call these two under their own mutex.
+//
+// A completed fetch at `tier` of `bytes` payload bytes whose transfer took
+// `ns`, paid by a demand miss or by a prefetch.
+inline void count_fetch(core::StreamCacheStats& s, std::uint64_t bytes,
+                        int tier, std::uint64_t ns, bool is_prefetch) {
+  const auto t = static_cast<std::size_t>(tier);
+  s.bytes_fetched += bytes;
+  s.tier_bytes_fetched[t] += bytes;
+  s.net_bytes += bytes;
+  s.net_stall_ns += ns;
+  if (is_prefetch) {
+    ++s.prefetches;
+    ++s.tier_prefetches[t];
+  }
+}
+
+// One acquire: a degraded serve or a paid fetch is a miss at the requested
+// tier, anything else (deadline fallbacks included) a hit at the served
+// tier. coarse_fallbacks, evictions and failed_groups are counted by their
+// owners.
+inline void count_acquire(core::StreamCacheStats& s, const AcquireOutcome& o) {
+  if (!o.degraded && !o.missed) {
+    ++s.hits;
+    ++s.tier_hits[static_cast<std::size_t>(o.served_tier)];
+    return;
+  }
+  ++s.misses;
+  ++s.tier_misses[static_cast<std::size_t>(o.requested_tier)];
+  if (o.degraded) {
+    ++s.degraded_groups;
+    if (o.fetch_errored) ++s.fetch_errors;
+    return;
+  }
+  if (o.upgraded) ++s.upgrades;
+  count_fetch(s, o.bytes_fetched, o.requested_tier, o.fetch_ns,
+              /*is_prefetch=*/false);
+}
+
 class ResidencyCache final {
  public:
   ResidencyCache(const AssetStore& store, ResidencyCacheConfig config = {});
@@ -331,8 +371,10 @@ class ResidencyCache final {
   // any), records the error, and advances its retry/backoff state. On
   // EVERY exit, including exceptions, `loading` is cleared and waiters are
   // woken (RAII guard) — a throwing fetch must never wedge the entry.
+  // Counts nothing but the failed-group transition: the caller accounts
+  // the outcome (count_acquire / count_fetch).
   bool fetch_locked(std::unique_lock<std::mutex>& lk, voxel::DenseVoxelId v,
-                    int tier, bool is_prefetch);
+                    int tier);
   // Reads every group's coarse tier into the floor arena at construction
   // (single-threaded: no lock, no loading marks). All-or-nothing against
   // the floor budget; per-group read errors only leave holes.

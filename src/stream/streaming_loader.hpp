@@ -188,32 +188,10 @@ class SessionCacheStats {
  public:
   void record_acquire(const AcquireOutcome& outcome) {
     std::lock_guard<std::mutex> lk(mutex_);
-    if (outcome.degraded) {
-      // Served degraded (stale tier or empty view) because of an error
-      // state. Counted under misses — the request was not satisfied at the
-      // asked tier — with the failure attributed alongside.
-      ++stats_.misses;
-      ++stats_.tier_misses[static_cast<std::size_t>(outcome.requested_tier)];
-      ++stats_.degraded_groups;
-      if (outcome.fetch_errored) ++stats_.fetch_errors;
-      if (outcome.group_failed) failed_seen_.insert(outcome.group);
-    } else if (outcome.missed) {
-      ++stats_.misses;
-      ++stats_.tier_misses[static_cast<std::size_t>(outcome.requested_tier)];
-      if (outcome.upgraded) ++stats_.upgrades;
-      stats_.bytes_fetched += outcome.bytes_fetched;
-      stats_.tier_bytes_fetched[static_cast<std::size_t>(
-          outcome.requested_tier)] += outcome.bytes_fetched;
-      stats_.net_bytes += outcome.bytes_fetched;
-      stats_.net_stall_ns += outcome.fetch_ns;
+    count_acquire(stats_, outcome);
+    if (outcome.group_failed) failed_seen_.insert(outcome.group);
+    if (outcome.missed) {
       estimator_.observe(outcome.bytes_fetched, outcome.fetch_ns);
-    } else {
-      // Hits — including deadline fallbacks (outcome.coarse_fallback),
-      // which are hits at the served floor/stale tier; the once-per-
-      // (frame, group) fallback counter is credited separately through
-      // record_coarse_fallback() by the loader that dedups it.
-      ++stats_.hits;
-      ++stats_.tier_hits[static_cast<std::size_t>(outcome.served_tier)];
     }
   }
   // Called once per (frame, group) served from the coarse floor — the
@@ -228,12 +206,7 @@ class SessionCacheStats {
   void record_prefetch(std::uint64_t bytes, int tier = 0,
                        std::uint64_t net_ns = 0) {
     std::lock_guard<std::mutex> lk(mutex_);
-    ++stats_.prefetches;
-    ++stats_.tier_prefetches[static_cast<std::size_t>(tier)];
-    stats_.bytes_fetched += bytes;
-    stats_.tier_bytes_fetched[static_cast<std::size_t>(tier)] += bytes;
-    stats_.net_bytes += bytes;
-    stats_.net_stall_ns += net_ns;
+    count_fetch(stats_, bytes, tier, net_ns, /*is_prefetch=*/true);
     estimator_.observe(bytes, net_ns);
   }
   // ABR demotions this session's frame selection charged to the throughput

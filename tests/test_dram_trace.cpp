@@ -1,6 +1,7 @@
 // Tests for the detailed DRAM timing model and the trace serialization.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "core/streaming_renderer.hpp"
@@ -161,28 +162,22 @@ core::StreamingTrace make_trace() {
 
 TEST(TraceIo, RoundTripPreservesEverything) {
   core::StreamingTrace trace = make_trace();
-  // Exercise the v3 residency-cache fields...
-  trace.cache.hits = 100;
-  trace.cache.misses = 7;
-  trace.cache.prefetches = 12;
-  trace.cache.evictions = 3;
-  trace.cache.bytes_fetched = 123456;
-  // ...and the v4 per-tier LOD counters.
-  for (int t = 0; t < core::kLodTierCount; ++t) {
-    trace.cache.tier_hits[t] = 40u + static_cast<std::uint64_t>(t);
-    trace.cache.tier_misses[t] = 2u * static_cast<std::uint64_t>(t) + 1u;
-    trace.cache.tier_prefetches[t] = 4u - static_cast<std::uint64_t>(t);
-    trace.cache.tier_bytes_fetched[t] =
-        10000u * (static_cast<std::uint64_t>(t) + 1u);
+  // Every counter slot of the schema tables gets a distinct value, so a
+  // dropped, duplicated or swapped field cannot round-trip unnoticed.
+  std::uint64_t next = 1000;
+  core::for_each_counter(
+      core::kStreamCacheFields, [&next](std::uint64_t& v) { v = next += 7; },
+      trace.cache);
+  for (core::GroupWork& g : trace.groups) {
+    core::for_each_counter(
+        core::kStageFields, [&next](std::uint64_t& v) { v = next += 3; },
+        g.timing_ns);
+    g.timing_ns.plan = 0;  // frame-level: carried as plan_build_ns
   }
-  trace.cache.upgrades = 5;
-  // ...and the v5 failure-domain counters.
-  trace.cache.fetch_errors = 9;
-  trace.cache.degraded_groups = 6;
-  trace.cache.failed_groups = 2;
-  // ...and the v9 serving-host fields.
-  trace.scenes = 3;
-  trace.admission_rejects = 17;
+  // The rows reach every member: no slot of the raw struct stayed zero.
+  std::uint64_t raw[sizeof(core::StreamCacheStats) / sizeof(std::uint64_t)];
+  std::memcpy(raw, &trace.cache, sizeof raw);
+  for (const std::uint64_t v : raw) EXPECT_NE(v, 0u);
   trace.queue_wait_ns = 420042;
   std::stringstream buf;
   ASSERT_TRUE(core::write_trace(buf, trace));
@@ -194,21 +189,15 @@ TEST(TraceIo, RoundTripPreservesEverything) {
   EXPECT_EQ(back.voxel_table_steps, trace.voxel_table_steps);
   EXPECT_EQ(back.plan_reused, trace.plan_reused);
   EXPECT_EQ(back.plan_build_ns, trace.plan_build_ns);
-  EXPECT_EQ(back.cache.hits, trace.cache.hits);
-  EXPECT_EQ(back.cache.misses, trace.cache.misses);
-  EXPECT_EQ(back.cache.prefetches, trace.cache.prefetches);
-  EXPECT_EQ(back.cache.evictions, trace.cache.evictions);
-  EXPECT_EQ(back.cache.bytes_fetched, trace.cache.bytes_fetched);
-  EXPECT_EQ(back.cache.tier_hits, trace.cache.tier_hits);
-  EXPECT_EQ(back.cache.tier_misses, trace.cache.tier_misses);
-  EXPECT_EQ(back.cache.tier_prefetches, trace.cache.tier_prefetches);
-  EXPECT_EQ(back.cache.tier_bytes_fetched, trace.cache.tier_bytes_fetched);
-  EXPECT_EQ(back.cache.upgrades, trace.cache.upgrades);
-  EXPECT_EQ(back.cache.fetch_errors, trace.cache.fetch_errors);
-  EXPECT_EQ(back.cache.degraded_groups, trace.cache.degraded_groups);
-  EXPECT_EQ(back.cache.failed_groups, trace.cache.failed_groups);
-  EXPECT_EQ(back.scenes, trace.scenes);
-  EXPECT_EQ(back.admission_rejects, trace.admission_rejects);
+  std::size_t slot = 0;
+  core::for_each_counter(
+      core::kStreamCacheFields,
+      [&slot](std::uint64_t got, std::uint64_t want) {
+        EXPECT_EQ(got, want) << "cache slot " << slot;
+        ++slot;
+      },
+      back.cache, trace.cache);
+  EXPECT_EQ(slot, sizeof(core::StreamCacheStats) / sizeof(std::uint64_t));
   EXPECT_EQ(back.queue_wait_ns, trace.queue_wait_ns);
   ASSERT_EQ(back.groups.size(), trace.groups.size());
   for (std::size_t g = 0; g < trace.groups.size(); ++g) {
@@ -216,17 +205,62 @@ TEST(TraceIo, RoundTripPreservesEverything) {
     EXPECT_EQ(back.groups[g].dda_steps, trace.groups[g].dda_steps);
     EXPECT_EQ(back.groups[g].nodes, trace.groups[g].nodes);
     EXPECT_EQ(back.groups[g].edges, trace.groups[g].edges);
-    EXPECT_EQ(back.groups[g].timing_ns.vsu, trace.groups[g].timing_ns.vsu);
-    EXPECT_EQ(back.groups[g].timing_ns.blend, trace.groups[g].timing_ns.blend);
-    EXPECT_EQ(back.groups[g].timing_ns.fetch, trace.groups[g].timing_ns.fetch);
-    EXPECT_EQ(back.groups[g].timing_ns.decode,
-              trace.groups[g].timing_ns.decode);
+    for (const auto& row : core::kStageFields) {
+      EXPECT_EQ(back.groups[g].timing_ns.*row.scalar,
+                trace.groups[g].timing_ns.*row.scalar)
+          << "group " << g << " " << row.name;
+    }
     ASSERT_EQ(back.groups[g].voxels.size(), trace.groups[g].voxels.size());
   }
   EXPECT_EQ(back.total_dram_bytes(), trace.total_dram_bytes());
   EXPECT_EQ(back.total_blend_ops(), trace.total_blend_ops());
   EXPECT_EQ(back.total_stage_ns().total(), trace.total_stage_ns().total());
   EXPECT_GT(trace.total_stage_ns().total(), 0u);
+}
+
+TEST(TraceIo, SizeMatchesDocumentedV10FieldOrder) {
+  // docs/SGSC_FORMAT.md, "Current (v10) field order": the frame header
+  // (magic through plan_build_ns), 13 scalar + 4x3 per-tier cache u64s,
+  // queue_wait_ns and n_groups; then a fixed record per group (rays,
+  // dda_steps, nodes, edges, 6 timings, n_voxels) and per voxel.
+  constexpr std::size_t kHeader =
+      4 + 4 + 4 + 8 + 8 + 8 + 1 + 8 + (13 + 12) * 8 + 8 + 8;
+  constexpr std::size_t kGroup = 4 + 8 + 4 + 4 + 6 * 8 + 8;
+  constexpr std::size_t kVoxel = 3 * 4 + 3 * 8;
+  core::StreamingTrace trace;
+  trace.pixel_count = 64;
+  std::size_t voxels = 0;
+  for (const int n : {0, 2, 5}) {
+    trace.groups.emplace_back().voxels.resize(static_cast<std::size_t>(n));
+    voxels += static_cast<std::size_t>(n);
+  }
+  std::stringstream buf;
+  ASSERT_TRUE(core::write_trace(buf, trace));
+  EXPECT_EQ(buf.str().size(),
+            kHeader + trace.groups.size() * kGroup + voxels * kVoxel);
+}
+
+TEST(TraceIo, RejectsCountsTheInputDoesNotBack) {
+  // Header counts are untrusted: each passes the plausibility caps, but
+  // the stream ends right after it. The reader must fail on the missing
+  // records (std::runtime_error), never size a vector from the count.
+  const auto with_last_count = [](const core::StreamingTrace& trace,
+                                  std::uint64_t count) {
+    std::stringstream buf;
+    EXPECT_TRUE(core::write_trace(buf, trace));
+    std::string bytes = buf.str();
+    std::memcpy(&bytes[bytes.size() - sizeof count], &count, sizeof count);
+    return bytes;
+  };
+  core::StreamingTrace trace;
+  trace.pixel_count = std::uint64_t{1} << 40;
+  // 2^30 groups announced, none present.
+  std::stringstream groups(with_last_count(trace, std::uint64_t{1} << 30));
+  EXPECT_THROW(core::read_trace(groups), std::runtime_error);
+  // One group announcing 2^32 voxels, none present.
+  trace.groups.emplace_back();
+  std::stringstream voxels(with_last_count(trace, std::uint64_t{1} << 32));
+  EXPECT_THROW(core::read_trace(voxels), std::runtime_error);
 }
 
 TEST(TraceIo, SimulationOfLoadedTraceIsIdentical) {

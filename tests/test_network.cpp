@@ -13,12 +13,10 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "core/render_sequence.hpp"
 #include "core/streaming_renderer.hpp"
-#include "core/trace_io.hpp"
 #include "scene/generator.hpp"
 #include "serve/scene_server.hpp"
 #include "stream/asset_store.hpp"
@@ -605,25 +603,6 @@ TEST(AbrLoop, ConstrainedLinkFeedsEstimatorAndDemotesTiers) {
   EXPECT_GT(s.net_bytes, 0u);
   EXPECT_GT(s.net_stall_ns, 0u);
   EXPECT_EQ(s.net_bytes, s.bytes_fetched);
-}
-
-// ------------------------------------------------------- trace v8 roundtrip --
-
-TEST(TraceIo, NetCountersSurviveRoundTrip) {
-  core::StreamingTrace trace;
-  trace.pixel_count = 16;
-  trace.cache.net_bytes = 123'456'789;
-  trace.cache.net_stall_ns = 987'654'321;
-  trace.cache.abr_demotions = 42;
-  trace.cache.coarse_fallbacks = 7;  // v7 neighbor must stay intact
-
-  std::stringstream buf;
-  ASSERT_TRUE(core::write_trace(buf, trace));
-  const core::StreamingTrace back = core::read_trace(buf);
-  EXPECT_EQ(back.cache.net_bytes, 123'456'789u);
-  EXPECT_EQ(back.cache.net_stall_ns, 987'654'321u);
-  EXPECT_EQ(back.cache.abr_demotions, 42u);
-  EXPECT_EQ(back.cache.coarse_fallbacks, 7u);
 }
 
 }  // namespace

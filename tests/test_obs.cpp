@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "core/streaming_renderer.hpp"
 #include "core/trace_io.hpp"
 #include "obs/metrics.hpp"
+#include "obs/publish.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_stats.hpp"
 #include "scene/generator.hpp"
@@ -450,6 +453,70 @@ TEST(TraceIo, FetchDecodeTimingsSurviveRoundTrip) {
   EXPECT_EQ(back.groups[0].timing_ns.fetch, 5000u);
   EXPECT_EQ(back.groups[0].timing_ns.decode, 700u);
   EXPECT_EQ(back.total_stage_ns().total(), 5800u);
+}
+
+// ----------------------------------------------------------- metric catalog --
+
+// The metric names docs/OBSERVABILITY.md documents: every row of its
+// "### Metric catalog" table pairs each backticked prefix of its first
+// column ("`cache.`") with each backticked leaf of its second ("`hits`").
+std::set<std::string> documented_metric_names() {
+  std::ifstream doc(std::string(SGS_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
+  const auto ticked = [](const std::string& cell) {
+    std::vector<std::string> out;
+    std::size_t open = cell.find('`');
+    while (open != std::string::npos) {
+      const std::size_t close = cell.find('`', open + 1);
+      if (close == std::string::npos) break;
+      out.push_back(cell.substr(open + 1, close - open - 1));
+      open = cell.find('`', close + 1);
+    }
+    return out;
+  };
+  std::set<std::string> names;
+  bool in_catalog = false;
+  std::string line;
+  while (std::getline(doc, line)) {
+    if (line.rfind("#", 0) == 0) in_catalog = line == "### Metric catalog";
+    if (!in_catalog || line.rfind("|", 0) != 0) continue;
+    std::vector<std::string> cells;
+    std::istringstream row(line);
+    for (std::string cell; std::getline(row, cell, '|');) {
+      cells.push_back(cell);
+    }
+    if (cells.size() < 3) continue;  // cells[0] is before the leading '|'
+    for (const std::string& prefix : ticked(cells[1])) {
+      for (const std::string& leaf : ticked(cells[2])) {
+        names.insert(prefix + leaf);
+      }
+    }
+  }
+  return names;
+}
+
+TEST(MetricCatalog, EveryPublishedNameIsDocumented) {
+  publish_cache_stats({});
+  publish_stage_timings({});
+  publish_parallel_stats();
+  const auto scene = test_scene(44, 300);
+  TempFile file("/tmp/sgs_test_obs_catalog.sgsc");
+  ASSERT_TRUE(stream::AssetStore::write(file.path, scene));
+  stream::AssetStore store(file.path);
+  serve::SceneServer(store, {}).report();
+
+  const std::set<std::string> documented = documented_metric_names();
+  const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
+  std::vector<std::string> published;
+  for (const auto& c : snap.counters) published.push_back(c.name);
+  for (const auto& g : snap.gauges) published.push_back(g.name);
+  for (const auto& h : snap.histograms) published.push_back(h.name);
+  // Non-vacuous: both sides carry at least the 13 cache + 7 stage gauges.
+  ASSERT_GE(documented.size(), 20u);
+  ASSERT_GE(published.size(), 20u);
+  for (const std::string& name : published) {
+    EXPECT_TRUE(documented.count(name) != 0)
+        << name << " is published but missing from the metric catalog";
+  }
 }
 
 // ------------------------------------------------------------- trace_stats --

@@ -680,11 +680,6 @@ TEST(ServeMultiplexed, SessionsExceedDriverCountBitIdentical) {
     for (std::size_t f = 0; f < served.size(); ++f) {
       EXPECT_EQ(served[f].image.pixels(), alone.frames[f].image.pixels())
           << "session " << s << " frame " << f;
-      // v9 trace stamping: single-scene host, no rejects, queue wait set
-      // by the scheduler (first frames start at the same ready mark, so
-      // only later frames are guaranteed a positive wait).
-      EXPECT_EQ(served[f].trace.scenes, 1u);
-      EXPECT_EQ(served[f].trace.admission_rejects, 0u);
     }
   }
 
@@ -752,7 +747,6 @@ TEST(ServeGolden, TwoSceneHostBitIdentical) {
     for (std::size_t f = 0; f < served.size(); ++f) {
       EXPECT_EQ(served[f].image.pixels(), alone.frames[f].image.pixels())
           << "session " << s << " frame " << f;
-      EXPECT_EQ(served[f].trace.scenes, 2u);
     }
   }
 

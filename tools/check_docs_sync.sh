@@ -113,6 +113,13 @@ check_contract "ABR contract" src/stream/bandwidth_estimator.hpp \
 check_contract "ABR policy contract" src/stream/lod_policy.hpp \
   link_bandwidth_bytes_per_sec abr_frame_budget_ns abr_demoted
 
+# 11. The counter schema: each telemetry counter declared once as a table
+#     row, and the one rule that turns an acquire or a fetch into counters.
+check_contract "counter schema contract" src/core/streaming_trace.hpp \
+  kStreamCacheFields kStageFields
+check_contract "counting rule contract" src/stream/residency_cache.hpp \
+  count_acquire count_fetch
+
 # TODO markers must not ship in the normative docs.
 if grep -rn '\bTODO\b' docs/; then
   fail "TODO marker found in docs/"
