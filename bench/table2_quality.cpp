@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
       const auto scene_prepared = core::StreamingScene::prepare(tuned.model, scfg);
       // "Original pipeline" on the deployed (tuned+quantized) model.
       const auto original_pipeline =
-          render::render_tile_centric(scene_prepared.render_model(), cam);
+          render::render_tile_centric(scene_prepared.quantized()->decode_all(),
+                                      cam);
       // "Ours": the streaming pipeline on the same model.
       const auto ours = core::render_streaming(scene_prepared, cam);
 

@@ -11,31 +11,22 @@ StreamingScene StreamingScene::prepare(const gs::GaussianModel& model,
                                        const StreamingConfig& config) {
   StreamingScene scene;
   scene.config_ = config;
-  scene.original_model_ = model;
 
   if (config.use_vq) {
     scene.quantized_ = std::make_unique<vq::QuantizedModel>(
         vq::QuantizedModel::build(model, config.vq));
-    scene.render_model_ = scene.quantized_->decode_all();
-  } else {
-    scene.render_model_ = model;
   }
 
   // The grid partitions by (exact) positions, which VQ leaves untouched.
   scene.grid_ = voxel::VoxelGrid::build(model, config.voxel_size);
   scene.layout_ = voxel::DataLayout(scene.grid_, config.use_vq);
 
-  scene.coarse_max_scale_.resize(model.size());
-  for (std::uint32_t i = 0; i < model.size(); ++i) {
-    scene.coarse_max_scale_[i] =
-        scene.render_model_.gaussians[i].max_scale();
-  }
-
-  // Grouped SoA copy of the render parameters: dense voxel v's residents as
-  // one contiguous column slice, in gaussians_in(v) order. Exact float
-  // copies of render_model_ / coarse_max_scale_, so a cache entry decoding
-  // the same records yields bitwise-equal columns (the OOC == resident
-  // invariant).
+  // The render parameters, grouped: dense voxel v's residents as one
+  // contiguous column slice, in gaussians_in(v) order, each record decoded
+  // straight into its slot. The coarse max-scale is the decoded record's,
+  // so the coarse filter stays conservative under VQ, and a cache entry
+  // decoding the same records yields bitwise-equal columns (the OOC ==
+  // resident invariant).
   const std::size_t n_voxels = scene.grid_.voxel_count();
   scene.group_offsets_.resize(n_voxels + 1);
   std::size_t total = 0;
@@ -45,14 +36,15 @@ StreamingScene StreamingScene::prepare(const gs::GaussianModel& model,
                  .size();
   }
   scene.group_offsets_[n_voxels] = total;
-  scene.group_columns_.resize(total);
+  gs::GaussianColumns& cols = scene.group_columns_;
+  cols.resize(total);
+  std::size_t k = 0;
   for (std::size_t v = 0; v < n_voxels; ++v) {
-    const auto residents =
-        scene.grid_.gaussians_in(static_cast<voxel::DenseVoxelId>(v));
-    std::size_t k = scene.group_offsets_[v];
-    for (const std::uint32_t mi : residents) {
-      scene.group_columns_.set(k++, scene.render_model_.gaussians[mi],
-                               scene.coarse_max_scale_[mi]);
+    for (const std::uint32_t mi :
+         scene.grid_.gaussians_in(static_cast<voxel::DenseVoxelId>(v))) {
+      const gs::Gaussian g = scene.quantized_ ? scene.quantized_->decode(mi)
+                                              : model.gaussians[mi];
+      cols.set(k++, g, g.max_scale());
     }
   }
   return scene;

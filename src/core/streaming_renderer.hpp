@@ -11,7 +11,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/image.hpp"
@@ -47,7 +46,9 @@ struct StreamingConfig {
   Vec3f background{0.0f, 0.0f, 0.0f};
 };
 
-// Offline-prepared scene: grid + DRAM layout + optional quantization.
+// Offline-prepared scene: grid + DRAM layout + optional quantization. The
+// render parameters are held once, as the grouped SoA columns the renderer
+// reads; under VQ the indices and codebooks stay in quantized().
 class StreamingScene {
  public:
   static StreamingScene prepare(const gs::GaussianModel& model,
@@ -56,51 +57,37 @@ class StreamingScene {
   const StreamingConfig& config() const { return config_; }
   const voxel::VoxelGrid& grid() const { return grid_; }
   const voxel::DataLayout& layout() const { return layout_; }
-
-  // Model whose parameters the fine phase actually uses: the VQ-decoded
-  // model when quantization is on, otherwise the original.
-  const gs::GaussianModel& render_model() const { return render_model_; }
-  const gs::GaussianModel& original_model() const { return original_model_; }
   const vq::QuantizedModel* quantized() const { return quantized_.get(); }
-
-  // Max scale stored in the coarse stream for Gaussian i (decoded-aware, so
-  // the coarse filter stays conservative under VQ).
-  float coarse_max_scale(std::uint32_t i) const {
-    return coarse_max_scale_[i];
-  }
-  // The whole coarse-stream scale array (model order); empty for scenes
-  // assembled from_parts.
-  std::span<const float> coarse_max_scales() const { return coarse_max_scale_; }
 
   // SoA render parameters, grouped: the records of dense voxel v occupy the
   // contiguous slice [group_offset(v), group_offset(v + 1)) in the same
-  // order as grid().gaussians_in(v). This is the layout the batched kernels
-  // stream; empty for scenes assembled from_parts.
+  // order as grid().gaussians_in(v). Each record is the Gaussian the fine
+  // phase uses (VQ-decoded when quantization is on) and its max_scale is
+  // that record's max_scale(), the coarse stream's 4th parameter. This is
+  // the layout the batched kernels stream; empty for scenes assembled
+  // from_parts.
   const gs::GaussianColumns& group_columns() const { return group_columns_; }
   std::size_t group_offset(voxel::DenseVoxelId v) const {
     return group_offsets_[v];
   }
 
-  // True when the Gaussian parameters are resident in this scene
-  // (render_model() is populated). Scenes assembled from_parts carry only
-  // grid + layout + config and must be rendered through a cache-backed
-  // GroupSource (src/stream/).
-  bool params_resident() const { return !render_model_.empty(); }
+  // True when the Gaussian parameters are resident in this scene (it was
+  // prepared, so group_columns() is populated). Scenes assembled from_parts
+  // carry only grid + layout + config and must be rendered through a
+  // cache-backed GroupSource (src/stream/).
+  bool params_resident() const { return !group_offsets_.empty(); }
 
   // Assembles a model-free scene around an out-of-core store's metadata:
-  // grid, DRAM layout, and rendering config only. render_model(),
-  // original_model(), quantized(), and coarse_max_scales() stay empty.
+  // grid, DRAM layout, and rendering config only. group_columns() and
+  // quantized() stay empty.
   static StreamingScene from_parts(const StreamingConfig& config,
                                    voxel::VoxelGrid grid);
 
  private:
   StreamingConfig config_;
-  gs::GaussianModel original_model_;
-  gs::GaussianModel render_model_;
   std::unique_ptr<vq::QuantizedModel> quantized_;
   voxel::VoxelGrid grid_;
   voxel::DataLayout layout_{voxel::VoxelGrid(), false};
-  std::vector<float> coarse_max_scale_;
   gs::GaussianColumns group_columns_;
   std::vector<std::size_t> group_offsets_;
 };

@@ -99,26 +99,26 @@ std::vector<std::uint32_t> select_tier_ranks(
   return ranks;
 }
 
-// Writes one tier record: `sh_coeffs` SH coefficients survive (the decoder
-// zero-fills the rest) and `opacity_comp` is the pruned tier's opacity-
-// compensation factor (1 for tier 0): survivors absorb the opacity mass of
-// their pruned neighbors so the group's transmittance stays close to the
-// full payload's.
+// Writes one tier record from the scene's grouped columns: `slot` is the
+// record's column index, `mi` its model index (a VQ record's codebook
+// indices). `sh_coeffs` SH coefficients survive (the decoder zero-fills the
+// rest) and `opacity_comp` is the pruned tier's opacity-compensation factor
+// (1 for tier 0): survivors absorb the opacity mass of their pruned
+// neighbors so the group's transmittance stays close to the full payload's.
 void write_record(std::ostream& out, const core::StreamingScene& scene,
-                  bool vq, std::uint32_t mi, int sh_coeffs = gs::kShCoeffCount,
+                  std::size_t slot, std::uint32_t mi,
+                  int sh_coeffs = gs::kShCoeffCount,
                   float opacity_comp = 1.0f) {
-  if (vq) {
-    const vq::QuantizedModel& qm = *scene.quantized();
-    put_vec3(out, qm.position(mi));
-    put<float>(out, std::min(1.0f, qm.opacity(mi) * opacity_comp));
-    const vq::QuantizedIndices& qi = qm.indices(mi);
+  const gs::Gaussian g = scene.group_columns().gaussian(slot);
+  put_vec3(out, g.position);
+  if (const vq::QuantizedModel* qm = scene.quantized()) {
+    put<float>(out, std::min(1.0f, g.opacity * opacity_comp));
+    const vq::QuantizedIndices& qi = qm->indices(mi);
     put<std::uint16_t>(out, qi.scale);
     put<std::uint16_t>(out, qi.rotation);
     put<std::uint16_t>(out, qi.dc);
     if (sh_coeffs > 1) put<std::uint16_t>(out, qi.sh);
   } else {
-    const gs::Gaussian& g = scene.render_model().gaussians[mi];
-    put_vec3(out, g.position);
     put_vec3(out, g.scale);
     put<float>(out, g.rotation.w);
     put<float>(out, g.rotation.x);
@@ -217,8 +217,10 @@ bool AssetStore::write(const std::string& path,
   // Tier selection: per group, the local ranks each tier keeps (tier 0 is
   // implicitly everything). Computed up front so directory offsets are
   // known before any payload is written.
+  // Every per-record value comes from the group's column slice: resident k
+  // of group v is column slot group_offset(v) + k.
   const auto n_groups = static_cast<std::size_t>(grid.voxel_count());
-  const gs::GaussianModel& model = scene.render_model();
+  const gs::GaussianColumns& cols = scene.group_columns();
   // selected[t - 1][v] holds tier t's local ranks for group v.
   std::vector<std::vector<std::vector<std::uint32_t>>> selected(
       static_cast<std::size_t>(tiers > 1 ? tiers - 1 : 0));
@@ -227,10 +229,11 @@ bool AssetStore::write(const std::string& path,
     for (std::size_t v = 0; v < n_groups; ++v) {
       const auto residents =
           grid.gaussians_in(static_cast<voxel::DenseVoxelId>(v));
+      const std::size_t first =
+          scene.group_offset(static_cast<voxel::DenseVoxelId>(v));
       importance.resize(residents.size());
       for (std::size_t k = 0; k < residents.size(); ++k) {
-        const gs::Gaussian& g = model.gaussians[residents[k]];
-        importance[k] = g.opacity * g.max_scale();
+        importance[k] = cols.opacity[first + k] * cols.max_scale[first + k];
       }
       std::uint32_t prev = static_cast<std::uint32_t>(residents.size());
       for (int t = 1; t < tiers; ++t) {
@@ -345,28 +348,31 @@ bool AssetStore::write(const std::string& path,
   for (int t = 0; t < tiers; ++t) {
     if (alias[static_cast<std::size_t>(t)]) continue;  // shares the payload above
     for (std::size_t v = 0; v < n_groups; ++v) {
-      const auto residents =
-          grid.gaussians_in(static_cast<voxel::DenseVoxelId>(v));
+      const auto dv = static_cast<voxel::DenseVoxelId>(v);
+      const auto residents = grid.gaussians_in(dv);
+      const std::size_t first = scene.group_offset(dv);
       if (t == 0) {
-        for (const std::uint32_t mi : residents) write_record(out, scene, vq, mi);
+        for (std::size_t k = 0; k < residents.size(); ++k) {
+          write_record(out, scene, first + k, residents[k]);
+        }
       } else {
         const auto& sel = selected[static_cast<std::size_t>(t - 1)][v];
         const int sh =
             options.tiers[static_cast<std::size_t>(t)].sh_coeffs;
         float full_mass = 0.0f;
         float kept_mass = 0.0f;
-        for (const std::uint32_t mi : residents) {
-          full_mass += model.gaussians[mi].opacity;
+        for (std::size_t k = 0; k < residents.size(); ++k) {
+          full_mass += cols.opacity[first + k];
         }
         for (const std::uint32_t rank : sel) {
-          kept_mass += model.gaussians[residents[rank]].opacity;
+          kept_mass += cols.opacity[first + rank];
         }
         const float comp =
             kept_mass > 0.0f
                 ? std::clamp(full_mass / kept_mass, 1.0f, 2.0f)
                 : 1.0f;
         for (const std::uint32_t rank : sel) {
-          write_record(out, scene, vq, residents[rank], sh, comp);
+          write_record(out, scene, first + rank, residents[rank], sh, comp);
         }
       }
     }
@@ -527,16 +533,13 @@ bool AssetStore::load(StreamError* error) {
           x.count = get<std::uint32_t>(in);
         }
       }
-      e.offset = e.tiers[0].offset;
-      e.bytes = e.tiers[0].bytes;
-      e.count = e.tiers[0].count;
-      std::uint32_t prev_count = e.count;
+      std::uint32_t prev_count = e.tiers[0].count;
       for (int t = 0; t < tier_count_; ++t) {
         const TierExtent& x = e.tiers[static_cast<std::size_t>(t)];
         const std::uint64_t rec_bytes =
             record_bytes(vq_, tier_sh_[static_cast<std::size_t>(t)]);
         // Each tier payload must hold exactly count fixed-size records, lie
-        // inside the file — otherwise read_group would decode past its buffer
+        // inside the file — otherwise a read would decode past its buffer
         // — and never carry more residents than the tier above it.
         if (x.bytes != x.count * rec_bytes || x.offset > file_size ||
             x.bytes > file_size - x.offset || x.count > prev_count) {
@@ -546,7 +549,7 @@ bool AssetStore::load(StreamError* error) {
         prev_count = x.count;
         payload_total_[static_cast<std::size_t>(t)] += x.bytes;
       }
-      total_count += e.count;
+      total_count += e.tiers[0].count;
     }
     if (total_count != gaussian_count_) {
       return fail(StreamErrorKind::kCorruptDirectory,
@@ -639,12 +642,6 @@ std::span<const std::uint32_t> AssetStore::group_indices(
   const auto e =
       static_cast<std::size_t>(offsets[static_cast<std::size_t>(v) + 1]);
   return {table.data() + b, e - b};
-}
-
-DecodedGroup AssetStore::read_group(voxel::DenseVoxelId v, int tier) const {
-  StreamResult<DecodedGroup> result = read_group_checked(v, tier);
-  if (!result.ok()) throw StreamException(result.take_error());
-  return result.take();
 }
 
 StreamResult<DecodedGroup> AssetStore::read_group_checked(voxel::DenseVoxelId v,
@@ -747,7 +744,7 @@ DecodedGroup AssetStore::read_group_impl(voxel::DenseVoxelId v,
     // lookups for one parameter as a single strided sweep (8 records per
     // AVX2 gather). Pure copies of the same entries QuantizedModel::decode
     // reads, so a cached group stays bit-identical to the prepared scene's
-    // render model. Tiers with truncated SH leave the AC tail at its
+    // grouped columns. Tiers with truncated SH leave the AC tail at its
     // zero fill.
     const float* scale_raw = scale_cb_.raw().data();
     const std::size_t scale_dim = scale_cb_.dim();

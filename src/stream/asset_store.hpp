@@ -39,8 +39,8 @@
 //                  VQ   {pos3 f32, opacity f32, scale/rot/DC u16, plus the
 //                       SH index u16 when sh_coeffs > 1}
 //
-// Decoding a fetched L0 group reproduces the prepared scene's render model
-// bit-for-bit: raw payloads are the exact floats, VQ payloads replay
+// Decoding a fetched L0 group reproduces the prepared scene's grouped
+// columns bit-for-bit: raw payloads are the exact floats, VQ payloads replay
 // QuantizedModel::decode against codebooks that round-tripped exactly. That
 // is the property the out-of-core == resident golden test pins down; L1/L2
 // payloads truncate/prune the same records and are validated by PSNR
@@ -82,14 +82,10 @@ struct TierExtent {
 
 struct AssetDirEntry {
   voxel::RawVoxelId raw_id = 0;
-  // Tier-0 (full fidelity) extent, mirrored from tiers[0] so pre-LOD call
-  // sites keep reading the fields they always did.
-  std::uint64_t offset = 0;
-  std::uint64_t bytes = 0;
-  std::uint32_t count = 0;
   Vec3f aabb_min{0, 0, 0};  // world-space voxel bounds (prefetch ranking)
   Vec3f aabb_max{0, 0, 0};
-  // Per-tier extents; slots >= the store's tier_count() stay zero.
+  // Per-tier extents; tiers[0] is the full-fidelity group. Slots >= the
+  // store's tier_count() stay zero.
   std::array<TierExtent, kLodTierCount> tiers{};
 };
 
@@ -245,12 +241,7 @@ class AssetStore {
 
   // Reads one group's payload at `tier` through the backend and decodes
   // it. Thread-safe: backends serialize their own transport, decode runs
-  // unlocked. `tier` must be < tier_count(). Throws StreamException on a
-  // failed transfer or corrupt payload — the thin legacy wrapper over
-  // read_group_checked below.
-  DecodedGroup read_group(voxel::DenseVoxelId v, int tier = 0) const;
-
-  // The typed, non-throwing read path: returns the decoded group or a
+  // unlocked. `tier` must be < tier_count(). Returns the decoded group or a
   // StreamError (kIoRead / kNetTimeout / kCorruptPayload / kDecode,
   // group+tier tagged) without ever propagating an exception. A failed
   // read is a recoverable, per-group event: the store stays open and every

@@ -14,7 +14,7 @@ core::StreamCacheStats GroupSource::stats() const { return {}; }
 ResidentGroupSource::ResidentGroupSource(const core::StreamingScene& scene)
     : scene_(&scene) {
   assert(scene.params_resident() &&
-         "resident source needs a scene with a resident render model");
+         "resident source needs a prepared scene with resident columns");
 }
 
 GroupView ResidentGroupSource::acquire(voxel::DenseVoxelId v) {

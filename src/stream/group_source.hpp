@@ -2,13 +2,14 @@
 //
 // The staged pipeline (core/group_pipeline.hpp) consumes voxel groups — the
 // residents of one dense voxel, decoded to full Gaussians — but does not
-// care whether they live in a fully-resident GaussianModel or are paged in
+// care whether they live in a fully-resident prepared scene or are paged in
 // from an on-disk asset store (stream/asset_store.hpp) through a residency
 // cache. This interface is that seam:
 //
 //   ResidentGroupSource — wraps a prepared StreamingScene; acquire() is a
-//     pointer view into render_model(), no copies, no bookkeeping. This is
-//     the implicit source every pre-existing call site uses.
+//     pointer view into the scene's grouped columns (group_columns() at
+//     group_offset(v)), no copies, no bookkeeping. This is the implicit
+//     source every pre-existing call site uses.
 //   StreamingLoader (streaming_loader.hpp) — the one out-of-core source,
 //     for a single viewer and for every serve session alike: it fetches
 //     and decodes groups on demand through a ResidencyCache under a byte

@@ -45,7 +45,7 @@ void ResidencyCache::pin_coarse_floor() {
   floor_.resize(entries_.size());
   floor_present_.assign(entries_.size(), 0);
   for (std::size_t i = 0; i < dir.size(); ++i) {
-    if (dir[i].count == 0) continue;  // empty groups need no floor payload
+    if (dir[i].tiers[0].count == 0) continue;  // empty groups need no floor payload
     const auto v = static_cast<voxel::DenseVoxelId>(i);
     StreamResult<DecodedGroup> read = store_->read_group_checked(v, tier);
     if (!read.ok()) {

@@ -7,10 +7,10 @@
 // (when the error is group-scoped), and a human-readable detail string.
 // The ResidencyCache turns those errors into failed/backoff entry states
 // and degraded serves; the serve layer attributes them per session. The
-// exception form (StreamException) exists only at the edges: legacy
-// throwing entry points (AssetStore's constructor, read_group) wrap the
-// same typed error so callers that do catch get the full story, and it
-// derives from std::runtime_error so pre-existing handlers keep working.
+// exception form (StreamException) exists only at the edges: the throwing
+// entry point (AssetStore's constructor) wraps the same typed error so
+// callers that do catch get the full story, and it derives from
+// std::runtime_error so pre-existing handlers keep working.
 //
 // Contract: a StreamError never crosses a thread unprotected — the cache
 // stores the last error per entry under its mutex, and the async lane

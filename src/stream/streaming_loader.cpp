@@ -35,7 +35,7 @@ std::vector<PrefetchRequest> rank_prefetch_groups(
   cache.ranking_snapshot(&resident_tiers, &failed_tiers);
   for (std::size_t i = 0; i < dir.size(); ++i) {
     const auto v = static_cast<voxel::DenseVoxelId>(i);
-    if (dir[i].count == 0) continue;
+    if (dir[i].tiers[0].count == 0) continue;
     const int want = select_group_tier(store, intent, v, config.lod);
     // A negative-cached (group, tier) is not fetch-worthy: its prefetch
     // would be denied, and re-ranking it every frame in every session is

@@ -1,6 +1,5 @@
 #include "vq/quantized_model.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <fstream>
 #include <stdexcept>
@@ -126,12 +125,6 @@ QuantizedModel QuantizedModel::build(const gs::GaussianModel& model,
   qm.rotation_cb_ = std::move(rot.codebook);
   qm.dc_cb_ = std::move(dc.codebook);
   qm.sh_cb_ = std::move(sh.codebook);
-
-  qm.coarse_max_scale_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto s = qm.scale_cb_.entry(qm.indices_[i].scale);
-    qm.coarse_max_scale_[i] = std::max(s[0], std::max(s[1], s[2]));
-  }
   return qm;
 }
 
@@ -239,13 +232,6 @@ QuantizedModel QuantizedModel::load(std::istream& in) {
         qm.indices_[i].sh >= qm.sh_cb_.size()) {
       throw std::runtime_error("quantized index out of codebook range");
     }
-  }
-  // Derived, not stored: same computation as build(), so a loaded model's
-  // coarse stream is bit-identical to the trained one's.
-  qm.coarse_max_scale_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto s = qm.scale_cb_.entry(qm.indices_[i].scale);
-    qm.coarse_max_scale_[i] = std::max(s[0], std::max(s[1], s[2]));
   }
   return qm;
 }

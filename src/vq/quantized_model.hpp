@@ -55,12 +55,6 @@ class QuantizedModel {
   gs::Gaussian decode(std::uint32_t i) const;
   gs::GaussianModel decode_all() const;
 
-  // Max scale of the *decoded* Gaussian. The offline layout stores this in
-  // the coarse record so the coarse filter stays conservative with respect
-  // to the values the fine filter will actually compute.
-  float coarse_max_scale(std::uint32_t i) const { return coarse_max_scale_[i]; }
-  Vec3f position(std::uint32_t i) const { return positions_[i]; }
-  float opacity(std::uint32_t i) const { return opacities_[i]; }
   const QuantizedIndices& indices(std::uint32_t i) const { return indices_[i]; }
 
   const Codebook& scale_codebook() const { return scale_cb_; }
@@ -76,10 +70,10 @@ class QuantizedModel {
   // Binary round-trip of the whole quantized scene (magic "SGVQ": the four
   // codebooks followed by per-Gaussian position/opacity/index records).
   // Loading reproduces decode() bit-for-bit — training is expensive, so a
-  // trained codec can be shipped next to the scene instead of rebuilt.
-  // coarse_max_scale is recomputed from the loaded scale codebook (not
-  // stored), keeping the file free of derivable data. save returns false on
-  // IO failure; load throws std::runtime_error on malformed input.
+  // trained codec can be shipped next to the scene instead of rebuilt. The
+  // file holds no derivable data (the coarse max-scale is decode(i)'s).
+  // save returns false on IO failure; load throws std::runtime_error on
+  // malformed input.
   bool save(std::ostream& out) const;
   static QuantizedModel load(std::istream& in);
   bool save_file(const std::string& path) const;
@@ -88,7 +82,6 @@ class QuantizedModel {
  private:
   std::vector<Vec3f> positions_;
   std::vector<float> opacities_;
-  std::vector<float> coarse_max_scale_;
   std::vector<QuantizedIndices> indices_;
   Codebook scale_cb_;
   Codebook rotation_cb_;

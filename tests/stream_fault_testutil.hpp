@@ -1,9 +1,9 @@
-// Shared fault-injection helpers for the failure-domain tests
-// (test_stream.cpp, test_serve.cpp, test_network.cpp). The on-disk VQ
-// record layout this encodes — pos3 + opacity floats (16 bytes), then the
-// scale codebook index u16 — lives HERE and nowhere else in the test tree,
-// so a layout change cannot leave one suite silently poisoning the wrong
-// byte. FaultInjectingBackend is the transport-level counterpart: it
+// Shared store helpers for the streaming tests (test_stream.cpp,
+// test_serve.cpp, test_network.cpp): fault injection and a checked read.
+// The on-disk VQ record layout this encodes — pos3 + opacity floats (16
+// bytes), then the scale codebook index u16 — lives HERE and nowhere else
+// in the test tree, so a layout change cannot leave one suite silently
+// poisoning the wrong byte. FaultInjectingBackend is the transport-level counterpart: it
 // injects faults per byte-range on the FetchBackend seam instead of
 // corrupting the file, so a test can target one group's transfer phase
 // without touching any other reader of the store.
@@ -51,9 +51,20 @@ inline void poison_vq_group(const std::string& path, const AssetStore& store,
 inline voxel::DenseVoxelId densest_group(const AssetStore& store) {
   voxel::DenseVoxelId best = 0;
   for (voxel::DenseVoxelId v = 0; v < store.group_count(); ++v) {
-    if (store.entry(v).count > store.entry(best).count) best = v;
+    if (store.tier_extent(v, 0).count > store.tier_extent(best, 0).count) {
+      best = v;
+    }
   }
   return best;
+}
+
+// Reads group v at `tier` from a store the test expects to be healthy:
+// a read error fails the test and yields an empty group.
+inline DecodedGroup read_ok(const AssetStore& store, voxel::DenseVoxelId v,
+                            int tier = 0) {
+  StreamResult<DecodedGroup> r = store.read_group_checked(v, tier);
+  EXPECT_TRUE(r.ok()) << r.error().to_string();
+  return r.ok() ? r.take() : DecodedGroup{};
 }
 
 // Transport-level fault injection on the FetchBackend seam: arms faults

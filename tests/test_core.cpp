@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "core/finetune.hpp"
@@ -241,6 +243,53 @@ scene::GeneratorConfig small_scene_cfg(std::uint64_t seed,
   cfg.log_scale_std = 0.5f;
   cfg.seed = seed;
   return cfg;
+}
+
+// A prepared scene holds its render parameters once, as grouped columns:
+// slot group_offset(v) + k is resident k of voxel v, and it must be exactly
+// the record the scene renders — the source record for a raw scene, the
+// VQ-decoded one otherwise — with the coarse max-scale of that record.
+// Bitwise, because the out-of-core == resident golden compares bytes.
+TEST(StreamingScene, ColumnsAreTheDecodedRecords) {
+  static_assert(sizeof(gs::Gaussian) == 59 * sizeof(float),
+                "memcmp below assumes an unpadded all-float record");
+  const auto model = scene::generate_scene(small_scene_cfg(31, 3000));
+  for (const bool use_vq : {false, true}) {
+    SCOPED_TRACE(use_vq ? "vq" : "raw");
+    StreamingConfig scfg;
+    scfg.voxel_size = 1.0f;
+    scfg.use_vq = use_vq;
+    scfg.vq.scale_entries = 64;
+    scfg.vq.rotation_entries = 64;
+    scfg.vq.dc_entries = 64;
+    scfg.vq.sh_entries = 32;
+    scfg.vq.kmeans_iters = 4;
+    scfg.vq.refine_iters = 1;
+    const StreamingScene scene = StreamingScene::prepare(model, scfg);
+    ASSERT_TRUE(scene.params_resident());
+    ASSERT_EQ(scene.quantized() != nullptr, use_vq);
+    const voxel::VoxelGrid& grid = scene.grid();
+    const gs::GaussianColumns& cols = scene.group_columns();
+    ASSERT_EQ(cols.size(), model.size());
+    ASSERT_EQ(scene.group_offset(grid.voxel_count()), cols.size());
+    for (DenseVoxelId v = 0; v < grid.voxel_count(); ++v) {
+      const auto residents = grid.gaussians_in(v);
+      ASSERT_EQ(scene.group_offset(v + 1) - scene.group_offset(v),
+                residents.size());
+      for (std::size_t k = 0; k < residents.size(); ++k) {
+        const std::uint32_t mi = residents[k];
+        const std::size_t slot = scene.group_offset(v) + k;
+        const gs::Gaussian want =
+            use_vq ? scene.quantized()->decode(mi) : model.gaussians[mi];
+        const gs::Gaussian got = cols.gaussian(slot);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof(gs::Gaussian)), 0)
+            << "voxel " << v << " resident " << k;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(cols.max_scale[slot]),
+                  std::bit_cast<std::uint32_t>(want.max_scale()))
+            << "voxel " << v << " resident " << k;
+      }
+    }
+  }
 }
 
 TEST(StreamingRenderer, SingleVoxelEqualsTileCentric) {

@@ -96,16 +96,11 @@ TEST(Integration, StreamingSceneAccessors) {
   sim::SceneExperiment exp(tiny_config(scene::ScenePreset::kLego));
   const auto& scene_vq = exp.streaming_scene(true);
   EXPECT_NE(scene_vq.quantized(), nullptr);
-  EXPECT_EQ(scene_vq.render_model().size(), exp.model().size());
-  EXPECT_EQ(scene_vq.original_model().size(), exp.model().size());
+  EXPECT_EQ(scene_vq.quantized()->size(), exp.model().size());
+  EXPECT_EQ(scene_vq.group_columns().size(), exp.model().size());
   const auto& scene_raw = exp.streaming_scene(false);
   EXPECT_EQ(scene_raw.quantized(), nullptr);
-
-  // Coarse max scale is decoded-aware under VQ.
-  for (std::uint32_t i = 0; i < 50; ++i) {
-    EXPECT_FLOAT_EQ(scene_vq.coarse_max_scale(i),
-                    scene_vq.render_model().gaussians[i].max_scale());
-  }
+  EXPECT_EQ(scene_raw.group_columns().size(), exp.model().size());
 }
 
 TEST(Integration, SyntheticVsRealWorldStructure) {

@@ -231,8 +231,8 @@ TEST(NetStore, OpenOverMemoryBackendMatchesDirectOpen) {
 
   ASSERT_EQ(store->group_count(), direct.group_count());
   for (voxel::DenseVoxelId v = 0; v < direct.group_count(); ++v) {
-    const DecodedGroup a = direct.read_group(v);
-    const DecodedGroup b = store->read_group(v);
+    const DecodedGroup a = faulttest::read_ok(direct, v);
+    const DecodedGroup b = faulttest::read_ok(*store, v);
     ASSERT_EQ(b.size(), a.size()) << "group " << v;
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a.gaussian(i).position, b.gaussian(i).position);
@@ -474,7 +474,7 @@ TEST(AbrPolicy, SelectionMonotoneNonIncreasingInBandwidth) {
   intent.camera = &cam;
   std::vector<voxel::DenseVoxelId> plan;
   for (voxel::DenseVoxelId v = 0; v < store.group_count(); ++v) {
-    if (store.entry(v).count > 0) plan.push_back(v);
+    if (store.tier_extent(v, 0).count > 0) plan.push_back(v);
   }
 
   LodPolicy base;  // thresholds sized to the 128 px test camera
@@ -530,7 +530,7 @@ TEST(AbrPolicy, AbrDemotedCountsExactlyTheThroughputTermsShare) {
   intent.camera = &cam;
   std::vector<voxel::DenseVoxelId> plan;
   for (voxel::DenseVoxelId v = 0; v < store.group_count(); ++v) {
-    if (store.entry(v).count > 0) plan.push_back(v);
+    if (store.tier_extent(v, 0).count > 0) plan.push_back(v);
   }
 
   LodPolicy base;
@@ -660,7 +660,7 @@ TEST(NetServe, EightSessionsOverLossyLinkExactErrorAttribution) {
   ASSERT_NE(store, nullptr);
   std::uint64_t armed = 0;
   for (voxel::DenseVoxelId v = 0; v < store->group_count(); ++v) {
-    if (store->entry(v).count == 0) continue;
+    if (store->tier_extent(v, 0).count == 0) continue;
     const stream::TierExtent& e = store->tier_extent(v, 0);
     net->fault_range(e.offset, e.offset + e.bytes,
                      stream::faulttest::FaultInjectingBackend::Fault::kTimeout,

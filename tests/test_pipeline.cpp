@@ -33,7 +33,9 @@ namespace {
 // Golden reference: a faithful (serial) copy of the pre-refactor monolithic
 // render_streaming loop, kept here so the staged pipeline can be checked
 // against the exact computation the seed renderer performed. Do not
-// "improve" this function — its value is being frozen history.
+// "improve" this function — its value is being frozen history. `model` is
+// the model the scene renders (the source model of a raw scene); the coarse
+// stream's scale of record mi is model.gaussians[mi].max_scale().
 // ---------------------------------------------------------------------------
 
 struct RefSurvivor {
@@ -42,15 +44,14 @@ struct RefSurvivor {
 };
 
 StreamingRenderResult reference_render_monolithic(
-    const StreamingScene& scene, const gs::Camera& camera,
-    const StreamingRenderOptions& options = {}) {
+    const StreamingScene& scene, const gs::GaussianModel& model,
+    const gs::Camera& camera, const StreamingRenderOptions& options = {}) {
   StreamingConfig cfg = scene.config();
   if (options.coarse_filter_override) {
     cfg.use_coarse_filter = *options.coarse_filter_override;
   }
   const voxel::VoxelGrid& grid = scene.grid();
   const voxel::DataLayout& layout = scene.layout();
-  const gs::GaussianModel& model = scene.render_model();
 
   const int width = camera.width();
   const int height = camera.height();
@@ -194,7 +195,8 @@ StreamingRenderResult reference_render_monolithic(
         bool coarse_ok = true;
         if (cfg.use_coarse_filter) {
           coarse_ok = coarse_filter(model.gaussians[mi].position,
-                                    scene.coarse_max_scale(mi), camera, rect);
+                                    model.gaussians[mi].max_scale(), camera,
+                                    rect);
         }
         if (!coarse_ok) continue;
         ++item.coarse_pass;
@@ -354,7 +356,7 @@ TEST(GoldenRegression, StagedPipelineMatchesMonolithBitExact) {
   const StreamingScene scene = StreamingScene::prepare(model, scfg);
   const gs::Camera cam = test_camera();
 
-  const auto golden = reference_render_monolithic(scene, cam);
+  const auto golden = reference_render_monolithic(scene, model, cam);
   const auto staged = render_streaming(scene, cam);
 
   EXPECT_EQ(staged.image.pixels(), golden.image.pixels());
@@ -387,7 +389,7 @@ TEST(GoldenRegression, MatchesMonolithWithoutCoarseFilterAndWithViolators) {
   StreamingRenderOptions opts;
   opts.collect_violators = true;
   opts.coarse_filter_override = false;
-  const auto golden = reference_render_monolithic(scene, cam, opts);
+  const auto golden = reference_render_monolithic(scene, model, cam, opts);
   const auto staged = render_streaming(scene, cam, opts);
 
   EXPECT_EQ(staged.image.pixels(), golden.image.pixels());

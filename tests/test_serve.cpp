@@ -325,7 +325,8 @@ TEST(SharedCache, ConcurrentStressCountersConsistentNoDoubleDecode) {
     for (voxel::DenseVoxelId v = 0; v < n_groups; ++v) {
       if (cache.resident(v)) {
         ++resident_count;
-        resident_total += store.read_group(v).resident_bytes();
+        resident_total +=
+            stream::faulttest::read_ok(store, v).resident_bytes();
       }
     }
     EXPECT_EQ(s.misses + s.prefetches, resident_count);

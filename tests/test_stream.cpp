@@ -39,8 +39,7 @@ gs::GaussianModel test_model(std::uint64_t seed, std::size_t count) {
   return scene::generate_scene(cfg);
 }
 
-core::StreamingScene test_scene(std::uint64_t seed, std::size_t count,
-                                bool vq) {
+core::StreamingScene test_scene(const gs::GaussianModel& model, bool vq) {
   core::StreamingConfig cfg;
   cfg.voxel_size = 1.0f;
   cfg.use_vq = vq;
@@ -53,7 +52,20 @@ core::StreamingScene test_scene(std::uint64_t seed, std::size_t count,
     cfg.vq.kmeans_iters = 4;
     cfg.vq.refine_iters = 1;
   }
-  return core::StreamingScene::prepare(test_model(seed, count), cfg);
+  return core::StreamingScene::prepare(model, cfg);
+}
+
+core::StreamingScene test_scene(std::uint64_t seed, std::size_t count,
+                                bool vq) {
+  return test_scene(test_model(seed, count), vq);
+}
+
+// The record a prepared scene renders for model index mi: the VQ-decoded
+// record when the scene is quantized, the source record otherwise.
+gs::Gaussian scene_record(const core::StreamingScene& scene,
+                          const gs::GaussianModel& model, std::uint32_t mi) {
+  return scene.quantized() != nullptr ? scene.quantized()->decode(mi)
+                                      : model.gaussians[mi];
 }
 
 gs::Camera test_camera(int size = 128) {
@@ -75,7 +87,8 @@ bool gaussians_equal(const gs::Gaussian& a, const gs::Gaussian& b) {
 // ------------------------------------------------------------- AssetStore --
 
 void expect_store_matches_scene(const AssetStore& store,
-                                const core::StreamingScene& scene) {
+                                const core::StreamingScene& scene,
+                                const gs::GaussianModel& model) {
   const voxel::VoxelGrid& g0 = scene.grid();
   const voxel::VoxelGrid& g1 = store.grid();
   ASSERT_EQ(g1.voxel_count(), g0.voxel_count());
@@ -92,20 +105,21 @@ void expect_store_matches_scene(const AssetStore& store,
     ASSERT_EQ(r1.size(), r0.size());
     for (std::size_t k = 0; k < r0.size(); ++k) EXPECT_EQ(r1[k], r0[k]);
 
-    // Decoded payloads reproduce the render model bit-for-bit.
-    const DecodedGroup group = store.read_group(v);
+    // Decoded payloads reproduce the rendered records bit-for-bit.
+    const DecodedGroup group = faulttest::read_ok(store, v);
     ASSERT_EQ(group.size(), r0.size());
     for (std::size_t k = 0; k < r0.size(); ++k) {
       EXPECT_EQ(group.model_indices[k], r0[k]);
-      const gs::Gaussian& expect = scene.render_model().gaussians[r0[k]];
+      const gs::Gaussian expect = scene_record(scene, model, r0[k]);
       EXPECT_TRUE(gaussians_equal(group.gaussian(k), expect));
-      EXPECT_EQ(group.max_scale(k), scene.coarse_max_scale(r0[k]));
+      EXPECT_EQ(group.max_scale(k), expect.max_scale());
     }
   }
 }
 
 TEST(AssetStore, RawRoundTripIsBitExact) {
-  const auto scene = test_scene(7, 3000, /*vq=*/false);
+  const auto model = test_model(7, 3000);
+  const auto scene = test_scene(model, /*vq=*/false);
   TempFile file("/tmp/sgs_test_raw.sgsc");
   ASSERT_TRUE(AssetStore::write(file.path, scene));
 
@@ -113,7 +127,7 @@ TEST(AssetStore, RawRoundTripIsBitExact) {
   EXPECT_FALSE(store.vector_quantized());
   EXPECT_EQ(store.payload_bytes_total(),
             scene.grid().gaussian_count() * 236u);
-  expect_store_matches_scene(store, scene);
+  expect_store_matches_scene(store, scene, model);
 
   const auto scene_ooc = store.make_scene();
   EXPECT_FALSE(scene_ooc.params_resident());
@@ -122,14 +136,15 @@ TEST(AssetStore, RawRoundTripIsBitExact) {
 }
 
 TEST(AssetStore, VqRoundTripIsBitExact) {
-  const auto scene = test_scene(8, 2000, /*vq=*/true);
+  const auto model = test_model(8, 2000);
+  const auto scene = test_scene(model, /*vq=*/true);
   TempFile file("/tmp/sgs_test_vq.sgsc");
   ASSERT_TRUE(AssetStore::write(file.path, scene));
 
   AssetStore store(file.path);
   EXPECT_TRUE(store.vector_quantized());
   EXPECT_EQ(store.payload_bytes_total(), scene.grid().gaussian_count() * 24u);
-  expect_store_matches_scene(store, scene);
+  expect_store_matches_scene(store, scene, model);
 }
 
 TEST(AssetStore, RejectsGarbageAndTruncation) {
@@ -167,11 +182,12 @@ TEST(AssetStore, RejectsGarbageAndTruncation) {
 
 // Importance the writer prunes by, recomputed independently of the store.
 std::vector<float> group_importance(const core::StreamingScene& scene,
+                                    const gs::GaussianModel& model,
                                     std::span<const std::uint32_t> residents) {
   std::vector<float> imp;
   imp.reserve(residents.size());
   for (const std::uint32_t mi : residents) {
-    const gs::Gaussian& g = scene.render_model().gaussians[mi];
+    const gs::Gaussian g = scene_record(scene, model, mi);
     imp.push_back(g.opacity * g.max_scale());
   }
   return imp;
@@ -179,21 +195,23 @@ std::vector<float> group_importance(const core::StreamingScene& scene,
 
 // The opacity-compensation factor the writer applies to a pruned tier.
 float opacity_comp(const core::StreamingScene& scene,
+                   const gs::GaussianModel& model,
                    std::span<const std::uint32_t> full,
                    std::span<const std::uint32_t> kept) {
   float full_mass = 0.0f, kept_mass = 0.0f;
   for (const std::uint32_t mi : full) {
-    full_mass += scene.render_model().gaussians[mi].opacity;
+    full_mass += scene_record(scene, model, mi).opacity;
   }
   for (const std::uint32_t mi : kept) {
-    kept_mass += scene.render_model().gaussians[mi].opacity;
+    kept_mass += scene_record(scene, model, mi).opacity;
   }
   return kept_mass > 0.0f ? std::clamp(full_mass / kept_mass, 1.0f, 2.0f)
                           : 1.0f;
 }
 
 TEST(AssetStore, TieredStoreRoundTripsAllTiers) {
-  const auto scene = test_scene(21, 3000, /*vq=*/false);
+  const auto model = test_model(21, 3000);
+  const auto scene = test_scene(model, /*vq=*/false);
   TempFile file("/tmp/sgs_test_tiered.sgsc");
   AssetStoreWriteOptions wopts;
   wopts.tier_count = 3;  // default tier specs: L1 = SH4, L2 = DC + prune
@@ -207,14 +225,14 @@ TEST(AssetStore, TieredStoreRoundTripsAllTiers) {
   // Tier 0 is the full-fidelity scene of v1.
   EXPECT_EQ(store.payload_bytes_total(),
             scene.grid().gaussian_count() * 236u);
-  expect_store_matches_scene(store, scene);
+  expect_store_matches_scene(store, scene, model);
   // Degraded tiers shrink on disk, in order (92 B and 56 B records).
   EXPECT_LT(store.payload_bytes_tier(1), store.payload_bytes_tier(0));
   EXPECT_LT(store.payload_bytes_tier(2), store.payload_bytes_tier(1));
 
   for (voxel::DenseVoxelId v = 0; v < store.group_count(); ++v) {
     const auto full = store.group_indices(v, 0);
-    const std::vector<float> imp = group_importance(scene, full);
+    const std::vector<float> imp = group_importance(scene, model, full);
     std::uint32_t prev = store.tier_extent(v, 0).count;
     ASSERT_EQ(prev, full.size());
     for (int t = 1; t < 3; ++t) {
@@ -234,7 +252,7 @@ TEST(AssetStore, TieredStoreRoundTripsAllTiers) {
       ASSERT_EQ(sub.size(), x.count);
       std::vector<float> all_sorted = imp;
       std::sort(all_sorted.begin(), all_sorted.end(), std::greater<float>());
-      std::vector<float> sub_imp = group_importance(scene, sub);
+      std::vector<float> sub_imp = group_importance(scene, model, sub);
       std::sort(sub_imp.begin(), sub_imp.end(), std::greater<float>());
       for (std::size_t k = 0; k < sub_imp.size(); ++k) {
         EXPECT_EQ(sub_imp[k], all_sorted[k]);
@@ -242,15 +260,14 @@ TEST(AssetStore, TieredStoreRoundTripsAllTiers) {
 
       // Decoded tier records: exact geometry, SH truncated to the tier's
       // band (zero tail), opacity scaled by the group's compensation.
-      const float comp = opacity_comp(scene, full, sub);
-      const DecodedGroup group = store.read_group(v, t);
+      const float comp = opacity_comp(scene, model, full, sub);
+      const DecodedGroup group = faulttest::read_ok(store, v, t);
       EXPECT_EQ(group.tier, t);
       EXPECT_EQ(group.payload_bytes, x.bytes);
       ASSERT_EQ(group.size(), sub.size());
       for (std::size_t k = 0; k < sub.size(); ++k) {
         EXPECT_EQ(group.model_indices[k], sub[k]);
-        const gs::Gaussian& expect =
-            scene.render_model().gaussians[sub[k]];
+        const gs::Gaussian& expect = model.gaussians[sub[k]];
         const gs::Gaussian got = group.gaussian(k);
         EXPECT_EQ(got.position, expect.position);
         EXPECT_EQ(got.scale, expect.scale);
@@ -268,7 +285,8 @@ TEST(AssetStore, TieredStoreRoundTripsAllTiers) {
 }
 
 TEST(AssetStore, TieredVqStoreRoundTrips) {
-  const auto scene = test_scene(22, 2000, /*vq=*/true);
+  const auto model = test_model(22, 2000);
+  const auto scene = test_scene(model, /*vq=*/true);
   TempFile file("/tmp/sgs_test_tiered_vq.sgsc");
   AssetStoreWriteOptions wopts;
   wopts.tier_count = 2;
@@ -281,16 +299,17 @@ TEST(AssetStore, TieredVqStoreRoundTrips) {
   EXPECT_EQ(store.tier_count(), 2);
   EXPECT_TRUE(store.vector_quantized());
   EXPECT_EQ(store.payload_bytes_total(), scene.grid().gaussian_count() * 24u);
-  expect_store_matches_scene(store, scene);
+  expect_store_matches_scene(store, scene, model);
+  const vq::QuantizedModel& qm = *scene.quantized();
   for (voxel::DenseVoxelId v = 0; v < store.group_count(); ++v) {
     const auto full = store.group_indices(v, 0);
     const auto sub = store.group_indices(v, 1);
     EXPECT_EQ(store.tier_extent(v, 1).bytes, sub.size() * 22u);
-    const float comp = opacity_comp(scene, full, sub);
-    const DecodedGroup group = store.read_group(v, 1);
+    const float comp = opacity_comp(scene, model, full, sub);
+    const DecodedGroup group = faulttest::read_ok(store, v, 1);
     ASSERT_EQ(group.size(), sub.size());
     for (std::size_t k = 0; k < sub.size(); ++k) {
-      const gs::Gaussian& expect = scene.render_model().gaussians[sub[k]];
+      const gs::Gaussian expect = qm.decode(sub[k]);
       const gs::Gaussian got = group.gaussian(k);
       EXPECT_EQ(got.position, expect.position);
       EXPECT_EQ(got.scale, expect.scale);
@@ -310,6 +329,7 @@ TEST(AssetStore, TieredVqStoreRoundTrips) {
 // entry) for any sh_coeffs > 1, so the default L1 spec aliases L0.
 TEST(AssetStore, NoOpVqTierAliasesThePayloadAbove) {
   const auto scene = test_scene(29, 1500, /*vq=*/true);
+  const vq::QuantizedModel& qm = *scene.quantized();
   TempFile file("/tmp/sgs_test_vq_alias.sgsc");
   AssetStoreWriteOptions wopts;
   wopts.tier_count = 3;  // defaults: L1 {keep 1, sh 4} is a VQ no-op
@@ -327,12 +347,11 @@ TEST(AssetStore, NoOpVqTierAliasesThePayloadAbove) {
     }
   }
   // Aliased or not, both tiers decode bit-identically to the scene.
-  const DecodedGroup g1 = store.read_group(0, 1);
+  const DecodedGroup g1 = faulttest::read_ok(store, 0, 1);
   const auto full = store.group_indices(0, 0);
   ASSERT_EQ(g1.size(), full.size());
   for (std::size_t k = 0; k < full.size(); ++k) {
-    EXPECT_TRUE(gaussians_equal(g1.gaussian(k),
-                                scene.render_model().gaussians[full[k]]));
+    EXPECT_TRUE(gaussians_equal(g1.gaussian(k), qm.decode(full[k])));
   }
 }
 
@@ -403,7 +422,7 @@ TEST(AssetStore, FrozenV1FixtureLoadsBitIdentically) {
   AssetStore store(fixture);
   EXPECT_EQ(store.tier_count(), 1);
   EXPECT_FALSE(store.vector_quantized());
-  expect_store_matches_scene(store, scene);
+  expect_store_matches_scene(store, scene, fixture_model());
 }
 
 TEST(AssetStore, WriteRequiresResidentParams) {
@@ -441,7 +460,7 @@ TEST(ResidencyCache, HitsMissesAndLruEviction) {
   ASSERT_EQ(store.group_count(), 8);
 
   // Budget: exactly two decoded groups (all groups are the same size).
-  const std::uint64_t unit = store.read_group(0).resident_bytes();
+  const std::uint64_t unit = faulttest::read_ok(store, 0).resident_bytes();
   ResidencyCacheConfig cfg;
   cfg.budget_bytes = 2 * unit;
   ResidencyCache cache(store, cfg);
@@ -471,7 +490,7 @@ TEST(ResidencyCache, HitsMissesAndLruEviction) {
   EXPECT_FALSE(cache.resident(2));
   EXPECT_TRUE(cache.resident(3));
   EXPECT_EQ(cache.stats().evictions, 2u);
-  EXPECT_EQ(cache.stats().bytes_fetched, 4 * store.entry(0).bytes);
+  EXPECT_EQ(cache.stats().bytes_fetched, 4 * store.tier_extent(0, 0).bytes);
 }
 
 TEST(ResidencyCache, DeterministicUnderFixedRequestTrace) {
@@ -559,7 +578,7 @@ TEST(ResidencyCache, PrefetchCountsSeparatelyFromMisses) {
   EXPECT_EQ(s.prefetches, 1u);
   EXPECT_EQ(s.misses, 0u);
   EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.bytes_fetched, store.entry(0).bytes);
+  EXPECT_EQ(s.bytes_fetched, store.tier_extent(0, 0).bytes);
 }
 
 TEST(ResidencyCache, TierUpgradeRefetchesOnlyThatGroup) {
@@ -1141,13 +1160,17 @@ TEST(AssetStore, CorruptionCorpusPoisonedPayloadIsGroupScoped) {
   EXPECT_EQ(r.error().group, static_cast<std::int64_t>(bad));
   EXPECT_EQ(r.error().tier, 0);
   EXPECT_FALSE(r.error().detail.empty());
-  // The throwing wrapper reports the same typed error.
-  EXPECT_THROW(store.read_group(bad), StreamException);
+  // The failure is a property of the payload, not of the first read: a
+  // repeated read reports the same typed error.
+  const StreamResult<DecodedGroup> again = store.read_group_checked(bad);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.error().kind, StreamErrorKind::kCorruptPayload);
+  EXPECT_EQ(again.error().group, static_cast<std::int64_t>(bad));
 
   // Fault isolation at the store layer: other groups still read fine,
   // in any order relative to the failing reads.
   for (voxel::DenseVoxelId v = 0; v < store.group_count(); ++v) {
-    if (v == bad || store.entry(v).count == 0) continue;
+    if (v == bad || store.tier_extent(v, 0).count == 0) continue;
     const StreamResult<DecodedGroup> ok = store.read_group_checked(v);
     EXPECT_TRUE(ok.ok()) << "group " << v;
   }
@@ -1295,9 +1318,9 @@ TEST(ResidencyCache, TransientErrorRecoversAfterRepair) {
   const AcquireOutcome o3 = cache.acquire_outcome(bad);
   EXPECT_FALSE(o3.missed);  // plain hit now
   cache.release(bad);
-  const DecodedGroup direct = store.read_group(bad);
+  const DecodedGroup direct = faulttest::read_ok(store, bad);
   EXPECT_EQ(direct.size(),
-            static_cast<std::size_t>(store.entry(bad).count));
+            static_cast<std::size_t>(store.tier_extent(bad, 0).count));
 }
 
 TEST(ResidencyCache, FailedUpgradeServesStaleLowerTier) {
@@ -1529,7 +1552,7 @@ TEST(CoarseFloor, PinsEveryGroupAndSurvivesEvictionPressure) {
   // Floor bytes live outside the LRU budget entirely.
   EXPECT_EQ(cache.resident_bytes(), 0u);
   for (voxel::DenseVoxelId v = 0; v < store.group_count(); ++v) {
-    EXPECT_EQ(cache.coarse_floor_resident(v), store.entry(v).count > 0)
+    EXPECT_EQ(cache.coarse_floor_resident(v), store.tier_extent(v, 0).count > 0)
         << "group " << v;
   }
   const std::uint64_t floor_before = cache.coarse_floor_bytes();
@@ -1537,10 +1560,10 @@ TEST(CoarseFloor, PinsEveryGroupAndSurvivesEvictionPressure) {
   // Blocking sweep over every group: constant eviction churn at 1% budget.
   std::uint64_t sweep = 0;
   for (voxel::DenseVoxelId v = 0; v < store.group_count(); ++v) {
-    if (store.entry(v).count == 0) continue;
+    if (store.tier_extent(v, 0).count == 0) continue;
     const AcquireOutcome out = cache.acquire_outcome(v);
     EXPECT_FALSE(out.coarse_fallback);
-    EXPECT_EQ(out.view.size(), store.entry(v).count);
+    EXPECT_EQ(out.view.size(), store.tier_extent(v, 0).count);
     cache.release(v);
     ++sweep;
   }
@@ -1551,7 +1574,7 @@ TEST(CoarseFloor, PinsEveryGroupAndSurvivesEvictionPressure) {
   // byte, and the main budget still holds.
   EXPECT_EQ(cache.coarse_floor_bytes(), floor_before);
   for (voxel::DenseVoxelId v = 0; v < store.group_count(); ++v) {
-    EXPECT_EQ(cache.coarse_floor_resident(v), store.entry(v).count > 0);
+    EXPECT_EQ(cache.coarse_floor_resident(v), store.tier_extent(v, 0).count > 0);
   }
   EXPECT_LE(cache.resident_bytes(), ccfg.budget_bytes);
   EXPECT_GT(sweep, 0u);
@@ -1578,7 +1601,7 @@ TEST(CoarseFloor, AllOrNothingAgainstItsBudget) {
   const AcquireOutcome out = cache.acquire_outcome(v, 0, /*deadline_ns=*/1);
   EXPECT_FALSE(out.coarse_fallback);
   EXPECT_TRUE(out.missed);
-  EXPECT_EQ(out.view.size(), store.entry(v).count);
+  EXPECT_EQ(out.view.size(), store.tier_extent(v, 0).count);
   cache.release(v);
 }
 
@@ -1594,7 +1617,7 @@ TEST(CoarseFloor, ExpiredDeadlineAcquireNeverBlocksAndNeverFetches) {
 
   std::uint64_t served = 0;
   for (voxel::DenseVoxelId v = 0; v < store.group_count(); ++v) {
-    if (store.entry(v).count == 0) continue;
+    if (store.tier_extent(v, 0).count == 0) continue;
     // Deadline of 1 ns on the stage clock: expired since boot. Every
     // acquire must come back from the floor, instantly, without disk IO.
     const AcquireOutcome out = cache.acquire_outcome(v, 0, /*deadline_ns=*/1);
@@ -1734,7 +1757,7 @@ TEST(StreamingLoader, DeadlineFallbackCountsOncePerFrameGroupAndRequeues) {
   EXPECT_EQ(loader.queue().pending(), 0u);
   EXPECT_EQ(cache.resident_tier(v), 0);
   const GroupView view = loader.acquire(v);
-  EXPECT_EQ(view.size(), store.entry(v).count);
+  EXPECT_EQ(view.size(), store.tier_extent(v, 0).count);
   loader.release(v);
   loader.end_frame();
   EXPECT_EQ(cache.stats().coarse_fallbacks, 1u);

@@ -211,16 +211,6 @@ TEST(QuantizedModel, DecodedScaleNearOriginal) {
   EXPECT_LT(rel_err / static_cast<double>(model.size()), 0.25);
 }
 
-TEST(QuantizedModel, CoarseMaxScaleMatchesDecoded) {
-  // The conservativeness of the coarse filter under VQ depends on the
-  // coarse stream carrying the *decoded* max scale.
-  const auto model = test_model(1000);
-  const QuantizedModel qm = QuantizedModel::build(model, small_vq());
-  for (std::uint32_t i = 0; i < qm.size(); ++i) {
-    EXPECT_FLOAT_EQ(qm.coarse_max_scale(i), qm.decode(i).max_scale());
-  }
-}
-
 TEST(QuantizedModel, PaperConfigCodebookFootprint) {
   // 4096 x (3+4+3) floats + 512 x 45 floats = 256 KB within the paper's
   // 250 KB codebook buffer (the paper rounds; we assert the ballpark).
@@ -341,8 +331,6 @@ TEST(QuantizedModel, BinaryRoundTripDecodesBitExact) {
     EXPECT_EQ(a.rotation, b.rotation);
     EXPECT_EQ(a.opacity, b.opacity);
     EXPECT_EQ(a.sh, b.sh);
-    // Derived coarse stream matches too (recomputed, not stored).
-    EXPECT_EQ(back.coarse_max_scale(i), qm.coarse_max_scale(i));
   }
 }
 
