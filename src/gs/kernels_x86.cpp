@@ -632,7 +632,6 @@ SGS_AVX2 BlendCounters blend_avx2_impl(BlendPlanes& planes,
                                        int row_w) {
   BlendCounters out;
   const __m256 conic_a = _mm256_set1_ps(g.conic.a);
-  const __m256 conic_c = _mm256_set1_ps(g.conic.c);
   const __m256 two_b = _mm256_set1_ps(2.0f * g.conic.b);
   const __m256 vop = _mm256_set1_ps(g.opacity);
   const __m256 vdepth = _mm256_set1_ps(g.depth);

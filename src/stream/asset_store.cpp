@@ -500,11 +500,19 @@ bool AssetStore::load(StreamError* error) {
       tier_count_ = 1;
     }
 
+    // Counts the header claims are checked against the bytes the input
+    // still holds before anything is sized from them: a crafted header
+    // must not make open allocate more than the file could back.
+    const auto bytes_left = [&]() -> std::uint64_t {
+      const std::streamoff pos = in.tellg();
+      if (pos < 0) return 0;
+      return file_size - std::min(file_size, static_cast<std::uint64_t>(pos));
+    };
     if (vq_) {
-      scale_cb_ = vq::Codebook::load(in);
-      rotation_cb_ = vq::Codebook::load(in);
-      dc_cb_ = vq::Codebook::load(in);
-      sh_cb_ = vq::Codebook::load(in);
+      scale_cb_ = vq::Codebook::load(in, bytes_left());
+      rotation_cb_ = vq::Codebook::load(in, bytes_left());
+      dc_cb_ = vq::Codebook::load(in, bytes_left());
+      sh_cb_ = vq::Codebook::load(in, bytes_left());
       if (scale_cb_.dim() != 3 || rotation_cb_.dim() != 4 ||
           dc_cb_.dim() != 3 || sh_cb_.dim() != 45) {
         return fail(StreamErrorKind::kCorruptHeader,
@@ -513,6 +521,13 @@ bool AssetStore::load(StreamError* error) {
     }
 
     section = StreamErrorKind::kCorruptDirectory;
+    const std::uint64_t entry_bytes = tier_count_ == 1
+                                          ? kDirEntryBytesV1
+                                          : dir_entry_bytes_v2(tier_count_);
+    if (std::uint64_t{n_groups} * entry_bytes > bytes_left()) {
+      return fail(StreamErrorKind::kCorruptDirectory,
+                  ".sgsc directory larger than the file");
+    }
     directory_.resize(n_groups);
     std::uint64_t total_count = 0;
     for (AssetDirEntry& e : directory_) {

@@ -1,7 +1,13 @@
 #include "stream/fetch_backend.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
+#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -30,15 +36,18 @@ double next_unit(std::uint64_t& state) {
 // LocalFileBackend
 
 LocalFileBackend::LocalFileBackend(std::string path) : path_(std::move(path)) {
-  file_.open(path_, std::ios::binary);
-  if (!file_) {
+  fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  struct stat st {};
+  if (fd_ < 0 || ::fstat(fd_, &st) != 0) {
     open_error_ = StreamError{StreamErrorKind::kIoOpen, -1, -1,
                               "cannot open .sgsc store: " + path_};
     return;
   }
-  file_.seekg(0, std::ios::end);
-  size_ = static_cast<std::uint64_t>(file_.tellg());
-  file_.seekg(0, std::ios::beg);
+  size_ = static_cast<std::uint64_t>(st.st_size);
+}
+
+LocalFileBackend::~LocalFileBackend() {
+  if (fd_ >= 0) ::close(fd_);
 }
 
 StreamResult<FetchInfo> LocalFileBackend::read_range(std::uint64_t offset,
@@ -47,13 +56,20 @@ StreamResult<FetchInfo> LocalFileBackend::read_range(std::uint64_t offset,
   const std::uint64_t want = dst.size();
   const std::uint64_t t0 = core::stage_clock_ns();
   std::uint64_t got = 0;
+  while (got < want) {
+    const ssize_t n = ::pread(fd_, dst.data() + got, want - got,
+                              static_cast<off_t>(offset + got));
+    if (n > 0) {
+      got += static_cast<std::uint64_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      break;  // end of file or a read error: a short read
+    }
+  }
+  const std::uint64_t elapsed = core::stage_clock_ns() - t0;
   {
     std::lock_guard<std::mutex> lk(mutex_);
-    file_.clear();
-    file_.seekg(static_cast<std::streamoff>(offset));
-    file_.read(dst.data(), static_cast<std::streamsize>(want));
-    got = file_ ? want : static_cast<std::uint64_t>(file_.gcount());
-    const std::uint64_t elapsed = core::stage_clock_ns() - t0;
     ++stats_.requests;
     stats_.busy_ns += elapsed;
     if (got == want) {
@@ -314,6 +330,10 @@ FetchStreamBuf::pos_type FetchStreamBuf::seekoff(off_type off,
                                                  std::ios_base::seekdir dir,
                                                  std::ios_base::openmode which) {
   if ((which & std::ios_base::in) == 0) return pos_type(off_type(-1));
+  // tellg(): report the position and keep the buffer.
+  if (dir == std::ios_base::cur && off == 0) {
+    return pos_type(static_cast<off_type>(current_offset()));
+  }
   std::int64_t base = 0;
   if (dir == std::ios_base::beg) {
     base = 0;

@@ -5,8 +5,8 @@
 // that boundary explicit so the *transport* is swappable under one typed
 // failure contract:
 //
-//   - LocalFileBackend        one ifstream + mutex; bit-identical to the
-//                             pre-seam direct-file path.
+//   - LocalFileBackend        one file descriptor read with pread, no lock
+//                             around the read; concurrent fetches overlap.
 //   - MemoryBackend           an in-memory byte image of a store; zero-cost
 //                             transfers (elapsed_ns == 0), handy for tests.
 //   - SimulatedNetworkBackend wraps another backend behind a deterministic
@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -86,12 +85,17 @@ class FetchBackend {
   virtual FetchBackendStats stats() const = 0;
 };
 
-// The pre-seam behavior: one shared ifstream guarded by a mutex, reads
-// timed with the wall clock. Construction never throws — a missing file is
-// reported through open_error() / the first read_range.
+// A local file: one descriptor shared by every caller, read with a POSIX
+// pread loop (positional, so concurrent reads need no lock and run side by
+// side), timed with the wall clock. Only the counters take a lock.
+// Construction never throws — a missing file is reported through
+// open_error() / the first read_range.
 class LocalFileBackend final : public FetchBackend {
  public:
   explicit LocalFileBackend(std::string path);
+  ~LocalFileBackend() override;  // closes fd_
+  LocalFileBackend(const LocalFileBackend&) = delete;
+  LocalFileBackend& operator=(const LocalFileBackend&) = delete;
 
   StreamResult<FetchInfo> read_range(std::uint64_t offset,
                                      std::span<char> dst) override;
@@ -106,8 +110,8 @@ class LocalFileBackend final : public FetchBackend {
   std::string path_;
   std::uint64_t size_ = 0;
   std::optional<StreamError> open_error_;
-  mutable std::mutex mutex_;  // guards file_ and stats_
-  mutable std::ifstream file_;
+  int fd_ = -1;
+  mutable std::mutex mutex_;  // guards stats_
   FetchBackendStats stats_;
 };
 

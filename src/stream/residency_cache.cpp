@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <new>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -73,6 +74,7 @@ void ResidencyCache::pin_plan(std::span<const voxel::DenseVoxelId> voxels) {
   std::lock_guard<std::mutex> lk(mutex_);
   for (const voxel::DenseVoxelId v : voxels) {
     ++entries_[static_cast<std::size_t>(v)].plan_pins;
+    sync_evictable_locked(v);
   }
 }
 
@@ -82,6 +84,7 @@ void ResidencyCache::unpin_plan(std::span<const voxel::DenseVoxelId> voxels) {
     Entry& e = entries_[static_cast<std::size_t>(v)];
     assert(e.plan_pins > 0);
     --e.plan_pins;
+    sync_evictable_locked(v);
   }
   // Pins may have carried residency above budget; drain the overshoot now.
   // (Unconditional: a viewer that pinned nothing still gets the drain.)
@@ -171,8 +174,9 @@ AcquireOutcome ResidencyCache::acquire_outcome(voxel::DenseVoxelId v, int tier,
   // Pin on every path — including degraded empty views and floor serves —
   // so the caller's unconditional release() stays balanced.
   ++e.pins;
+  sync_evictable_locked(v);
   if (e.resident) {
-    touch_locked(e, v);
+    e.touch = ++touch_clock_;  // pinned, so not in evictable_ to re-key
     // Eviction runs only now, with the new entry pinned: with every other
     // group pinned the pass could otherwise evict the group this very call
     // just fetched (fetch_locked defers eviction for exactly that reason).
@@ -226,6 +230,7 @@ void ResidencyCache::release(voxel::DenseVoxelId v) {
   // is not implied here — only pin balance is.
   assert(e.pins > 0);
   --e.pins;
+  sync_evictable_locked(v);
   // An upgrade may be parked on this group waiting for views to drain.
   if (e.pins == 0 && e.loading) cv_.notify_all();
 }
@@ -336,6 +341,7 @@ bool ResidencyCache::fetch_locked(std::unique_lock<std::mutex>& lk,
                                   voxel::DenseVoxelId v, int tier) {
   Entry& e = entries_[static_cast<std::size_t>(v)];
   e.loading = true;
+  sync_evictable_locked(v);
   const bool upgrade = e.resident;
   if (upgrade) {
     // Replacing the payload invalidates its buffers; wait for outstanding
@@ -351,20 +357,27 @@ bool ResidencyCache::fetch_locked(std::unique_lock<std::mutex>& lk,
   // acquire of this group would sleep on cv_ for good (the deadlock the
   // failure-domain work exists to kill).
   struct LoadingGuard {
+    ResidencyCache& cache;
     std::unique_lock<std::mutex>& lk;
-    Entry& e;
-    std::condition_variable& cv;
+    voxel::DenseVoxelId v;
     ~LoadingGuard() {
       if (!lk.owns_lock()) lk.lock();
-      e.loading = false;
-      cv.notify_all();
+      cache.entries_[static_cast<std::size_t>(v)].loading = false;
+      try {
+        cache.sync_evictable_locked(v);
+      } catch (const std::bad_alloc&) {
+        // The set insert failed and `evictable` still says so: v stays
+        // out of the eviction order until its next pin change re-syncs it.
+      }
+      cache.cv_.notify_all();
     }
-  } guard{lk, e, cv_};
+  } guard{*this, lk, v};
 
   lk.unlock();
   // Disk read + decode outside the lock: other groups stay acquirable and
-  // other fetches only serialize on the store's own file mutex. The typed
-  // read path never throws; errors come back as values.
+  // other fetches run side by side (the local backend reads with pread,
+  // unlocked). The typed read path never throws; errors come back as
+  // values.
   StreamResult<DecodedGroup> fetched = [&] {
     SGS_TRACE_SPAN("cache", "fetch", "group", static_cast<std::uint64_t>(v),
                    "tier", static_cast<std::uint64_t>(tier));
@@ -411,8 +424,7 @@ bool ResidencyCache::fetch_locked(std::unique_lock<std::mutex>& lk,
   e.tier = tier;
   if (!e.resident) {
     e.resident = true;
-    lru_.push_front(v);
-    e.lru_it = lru_.begin();
+    e.touch = ++touch_clock_;  // joins evictable_ once the guard clears loading
   }
   resident_bytes_ += e.group.resident_bytes();
   // Deliberately no eviction pass here: a demand-missing acquire must pin
@@ -422,29 +434,31 @@ bool ResidencyCache::fetch_locked(std::unique_lock<std::mutex>& lk,
   return true;  // guard clears loading + notifies waiters
 }
 
-void ResidencyCache::touch_locked(Entry& e, voxel::DenseVoxelId v) {
-  if (e.lru_it != lru_.begin()) {
-    lru_.erase(e.lru_it);
-    lru_.push_front(v);
-    e.lru_it = lru_.begin();
+void ResidencyCache::sync_evictable_locked(voxel::DenseVoxelId v) {
+  Entry& e = entries_[static_cast<std::size_t>(v)];
+  const bool want =
+      e.resident && e.pins == 0 && e.plan_pins == 0 && !e.loading;
+  if (want == e.evictable) return;
+  if (want) {
+    evictable_.emplace(e.touch, v);
+  } else {
+    evictable_.erase({e.touch, v});
   }
+  e.evictable = want;
 }
 
 void ResidencyCache::evict_over_budget_locked() {
-  auto it = lru_.end();
   const std::uint64_t budget = budget_bytes_.load(std::memory_order_relaxed);
-  while (resident_bytes_ > budget && it != lru_.begin()) {
-    --it;
-    Entry& e = entries_[static_cast<std::size_t>(*it)];
-    if (e.pins > 0 || e.plan_pins > 0 || e.loading) {
-      continue;  // protected (or mid-upgrade); try next-older
-    }
+  while (resident_bytes_ > budget && !evictable_.empty()) {
+    const voxel::DenseVoxelId v = evictable_.begin()->second;
+    evictable_.erase(evictable_.begin());
+    Entry& e = entries_[static_cast<std::size_t>(v)];
+    e.evictable = false;
     resident_bytes_ -= e.group.resident_bytes();
     e.group = DecodedGroup{};  // frees the decoded buffers
     e.resident = false;
     SGS_TRACE_INSTANT("cache", "evict", "group",
-                      static_cast<std::uint64_t>(*it));
-    it = lru_.erase(it);
+                      static_cast<std::uint64_t>(v));
     ++stats_.evictions;
   }
 }

@@ -14,12 +14,21 @@
 // counters and the upgrade count surface in stats() (trace v4).
 //
 // Eviction is strict LRU over unprotected groups: a group is protected
-// while (a) any acquire is outstanding on it (`pins`), or (b) at least one
+// while (a) any acquire is outstanding on it (`pins`), (b) at least one
 // in-flight FramePlan claims it (`plan_pins`, a refcount — several sessions
 // may pin the same group, and eviction respects the *union* of their
-// working sets). Plan pins are taken with pin_plan() and dropped with
-// unpin_plan() — the only pinning path. Pinned groups may push residency
-// above the budget; the overshoot drains at the next unpin.
+// working sets), or (c) a fetch is replacing its payload (`loading`). Plan
+// pins are taken with pin_plan() and dropped with unpin_plan() — the only
+// pinning path. Pinned groups may push residency above the budget; the
+// overshoot drains at the next unpin.
+//
+// Only evictable groups (resident and unprotected) sit in the eviction
+// order: an ordered set keyed by (last-touch stamp, group), where the
+// stamp is a counter bumped when a group becomes resident and on every
+// acquire. A group enters the set when its last protection drops and
+// leaves it when any is taken, so an eviction pass pops the oldest entry
+// per victim — O(log n) each — and never walks past the pinned working
+// set. Pin, unpin, acquire and release each cost O(log n) on top.
 //
 // The budget counts decoded in-memory bytes (DecodedGroup::resident_bytes),
 // while bytes_fetched counts on-disk payload bytes — the two sides of the
@@ -86,11 +95,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
+#include <set>
 #include <vector>
 
 #include "stream/asset_store.hpp"
@@ -345,8 +353,9 @@ class ResidencyCache final {
     int plan_pins = 0;  // in-flight FramePlans claiming this group (union
                         // of all sessions' working sets)
     bool loading = false;  // fetch in flight; waiters sleep on cv_
-    std::list<voxel::DenseVoxelId>::iterator lru_it;  // valid when resident
     bool resident = false;
+    bool evictable = false;  // in evictable_, keyed (touch, group)
+    std::uint64_t touch = 0;  // last-touch stamp (valid when resident)
     // Failure state, PER TIER (disk errors are tier-scoped: a corrupt L0
     // payload must not poison the group's healthy L1/L2): consecutive
     // failed fetch attempts, the denied-request countdown until the next
@@ -379,7 +388,9 @@ class ResidencyCache final {
   // (single-threaded: no lock, no loading marks). All-or-nothing against
   // the floor budget; per-group read errors only leave holes.
   void pin_coarse_floor();
-  void touch_locked(Entry& e, voxel::DenseVoxelId v);
+  // Brings v's membership in evictable_ in line with its state; called
+  // after every change to pins, plan_pins, loading or resident.
+  void sync_evictable_locked(voxel::DenseVoxelId v);
   void evict_over_budget_locked();
 
   const AssetStore* store_;
@@ -392,7 +403,9 @@ class ResidencyCache final {
   mutable std::mutex mutex_;
   std::condition_variable cv_;  // signals fetch completion and pin drains
   std::vector<Entry> entries_;  // indexed by dense voxel id
-  std::list<voxel::DenseVoxelId> lru_;  // front = most recent
+  // Resident, unprotected groups, oldest touch first.
+  std::set<std::pair<std::uint64_t, voxel::DenseVoxelId>> evictable_;
+  std::uint64_t touch_clock_ = 0;
   std::uint64_t resident_bytes_ = 0;
   core::StreamCacheStats stats_;
   // Coarse floor: immutable after construction (pin_coarse_floor), so

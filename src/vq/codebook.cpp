@@ -28,7 +28,7 @@ bool Codebook::save(std::ostream& out) const {
   return static_cast<bool>(out);
 }
 
-Codebook Codebook::load(std::istream& in) {
+Codebook Codebook::load(std::istream& in, std::uint64_t max_bytes) {
   std::uint32_t dim = 0, count = 0;
   in.read(reinterpret_cast<char*>(&dim), sizeof(dim));
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
@@ -37,6 +37,9 @@ Codebook Codebook::load(std::istream& in) {
   // generous cap still rejects garbage lengths before allocating.
   if (dim == 0 || dim > 1024 || count > (1u << 24)) {
     throw std::runtime_error("implausible codebook dimensions");
+  }
+  if (std::uint64_t{dim} * count * sizeof(float) > max_bytes) {
+    throw std::runtime_error("codebook entries exceed the input");
   }
   std::vector<float> entries(static_cast<std::size_t>(dim) * count);
   in.read(reinterpret_cast<char*>(entries.data()),

@@ -44,9 +44,11 @@ class Codebook {
   // float32 entries). The loaded codebook is bit-identical to the saved one,
   // so decode() results round-trip exactly — the property the .sgsc scene
   // format relies on. save returns false on IO failure; load throws
-  // std::runtime_error on truncation or implausible sizes.
+  // std::runtime_error on truncation or implausible sizes, and before
+  // allocating when the entries would need more than `max_bytes` of input.
   bool save(std::ostream& out) const;
-  static Codebook load(std::istream& in);
+  static Codebook load(std::istream& in,
+                       std::uint64_t max_bytes = UINT64_MAX);
 
  private:
   std::size_t dim_ = 0;

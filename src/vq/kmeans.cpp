@@ -57,6 +57,32 @@ std::vector<float> seed_centroids(const float* data, std::size_t n,
   return centroids;
 }
 
+// Assigns each of the n points to its nearest centroid (parallel over
+// points) and returns the inertia. The per-point distances are summed
+// serially in point order, so the inertia — and the tol early stop that
+// reads it — is the same at every thread count.
+double assign_points(const float* points, std::size_t n, std::size_t dim,
+                     const std::vector<float>& centroids,
+                     std::uint32_t* assignment) {
+  std::vector<double> d2(n);
+  const auto parts = static_cast<std::size_t>(parallelism());
+  const std::size_t chunk = (n + parts - 1) / parts;
+  parallel_for(0, parts, [&](std::size_t t) {
+    const std::size_t e = std::min(n, (t + 1) * chunk);
+    for (std::size_t i = t * chunk; i < e; ++i) {
+      const std::uint32_t c =
+          nearest_centroid(centroids, dim, {points + i * dim, dim});
+      assignment[i] = c;
+      d2[i] = sq_dist(points + i * dim,
+                      centroids.data() + static_cast<std::size_t>(c) * dim,
+                      dim);
+    }
+  });
+  double inertia = 0.0;
+  for (const double v : d2) inertia += v;
+  return inertia;
+}
+
 }  // namespace
 
 std::uint32_t nearest_centroid(std::span<const float> centroids, std::size_t dim,
@@ -108,23 +134,8 @@ KMeansResult kmeans(std::span<const float> data, std::size_t dim,
   double prev_inertia = std::numeric_limits<double>::infinity();
   for (int iter = 0; iter < config.max_iters; ++iter) {
     // Assignment step (parallel over points).
-    std::vector<double> inertia_partial(static_cast<std::size_t>(parallelism()), 0.0);
-    const std::size_t chunk = (train_n + inertia_partial.size() - 1) / inertia_partial.size();
-    parallel_for(0, inertia_partial.size(), [&](std::size_t t) {
-      const std::size_t b = t * chunk;
-      const std::size_t e = std::min(train_n, b + chunk);
-      double local = 0.0;
-      for (std::size_t i = b; i < e; ++i) {
-        const std::uint32_t c = nearest_centroid(result.centroids, dim,
-                                                 {train + i * dim, dim});
-        train_assign[i] = c;
-        local += sq_dist(train + i * dim,
-                         result.centroids.data() + static_cast<std::size_t>(c) * dim, dim);
-      }
-      inertia_partial[t] = local;
-    });
-    double inertia = 0.0;
-    for (double v : inertia_partial) inertia += v;
+    const double inertia = assign_points(train, train_n, dim, result.centroids,
+                                         train_assign.data());
 
     // Update step (serial, deterministic).
     std::vector<double> sums(static_cast<std::size_t>(k) * dim, 0.0);
@@ -155,23 +166,8 @@ KMeansResult kmeans(std::span<const float> data, std::size_t dim,
 
   // Final full assignment over all points (parallel, deterministic).
   result.assignment.resize(n);
-  std::vector<double> inertia_partial(static_cast<std::size_t>(parallelism()), 0.0);
-  const std::size_t chunk = (n + inertia_partial.size() - 1) / inertia_partial.size();
-  parallel_for(0, inertia_partial.size(), [&](std::size_t t) {
-    const std::size_t b = t * chunk;
-    const std::size_t e = std::min(n, b + chunk);
-    double local = 0.0;
-    for (std::size_t i = b; i < e; ++i) {
-      const std::uint32_t c =
-          nearest_centroid(result.centroids, dim, {data.data() + i * dim, dim});
-      result.assignment[i] = c;
-      local += sq_dist(data.data() + i * dim,
-                       result.centroids.data() + static_cast<std::size_t>(c) * dim, dim);
-    }
-    inertia_partial[t] = local;
-  });
-  result.inertia = 0.0;
-  for (double v : inertia_partial) result.inertia += v;
+  result.inertia = assign_points(data.data(), n, dim, result.centroids,
+                                 result.assignment.data());
   return result;
 }
 

@@ -7,6 +7,7 @@
 // actually exercising misses and evictions, and that adaptive tiers hold a
 // PSNR bound while fetching fewer bytes.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
@@ -14,6 +15,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <random>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -560,6 +563,61 @@ TEST(ResidencyCache, PlanPinsBlockEvictionUntilEndFrame) {
   EXPECT_FALSE(cache.resident(0));
   EXPECT_FALSE(cache.resident(1));
   EXPECT_EQ(cache.stats().evictions, 2u);
+}
+
+// Eviction is strict LRU over the unprotected groups: the oldest groups
+// sit plan-pinned at the tail and one acquire is held open, so every pass
+// must reach past them to the oldest unprotected group — in the frame and
+// again at unpin_plan's drain.
+TEST(ResidencyCache, EvictsOldestUnprotectedPastPinnedTail) {
+  const auto scene = uniform_groups_scene(8);
+  TempFile file("/tmp/sgs_test_evict_order.sgsc");
+  ASSERT_TRUE(AssetStore::write(file.path, scene));
+  AssetStore store(file.path);
+  ASSERT_EQ(store.group_count(), 8);
+
+  const std::uint64_t unit = faulttest::read_ok(store, 0).resident_bytes();
+  ResidencyCacheConfig cfg;
+  cfg.budget_bytes = 3 * unit;
+  ResidencyCache cache(store, cfg);
+  auto touch = [&cache](voxel::DenseVoxelId v) {
+    EXPECT_TRUE(cache.acquire_outcome(v).missed) << "group " << v;
+    cache.release(v);
+  };
+  auto resident_set = [&cache] {
+    std::vector<voxel::DenseVoxelId> out;
+    for (voxel::DenseVoxelId v = 0; v < 8; ++v) {
+      if (cache.resident(v)) out.push_back(v);
+    }
+    return out;
+  };
+  using Set = std::vector<voxel::DenseVoxelId>;
+
+  touch(0);
+  touch(1);
+  touch(2);  // LRU, oldest first: 0 1 2
+  const Set plan = {0, 1, 4, 5};
+  cache.pin_plan(plan);
+  EXPECT_FALSE(cache.acquire_outcome(2).missed);  // held open to the end
+
+  touch(3);  // 4 over a budget of 3, but 0 1 2 3 are all protected
+  EXPECT_EQ(resident_set(), (Set{0, 1, 2, 3}));
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  touch(4);  // past the protected 0 1 2: victim 3
+  EXPECT_EQ(resident_set(), (Set{0, 1, 2, 4}));
+  touch(6);  // 0 1 2 4 protected, 6 pinned by its own acquire: no victim
+  EXPECT_EQ(resident_set(), (Set{0, 1, 2, 4, 6}));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  touch(5);  // oldest unprotected is 6
+  EXPECT_EQ(resident_set(), (Set{0, 1, 2, 4, 5}));
+  EXPECT_EQ(cache.stats().evictions, 2u);
+
+  // The drain frees 0 1 4 5 and takes the two oldest, passing the held 2.
+  cache.unpin_plan(plan);
+  EXPECT_EQ(resident_set(), (Set{2, 4, 5}));
+  EXPECT_EQ(cache.stats().evictions, 4u);
+  cache.release(2);
+  EXPECT_EQ(cache.resident_bytes(), cfg.budget_bytes);
 }
 
 TEST(ResidencyCache, PrefetchCountsSeparatelyFromMisses) {
@@ -1174,6 +1232,128 @@ TEST(AssetStore, CorruptionCorpusPoisonedPayloadIsGroupScoped) {
     const StreamResult<DecodedGroup> ok = store.read_group_checked(v);
     EXPECT_TRUE(ok.ok()) << "group " << v;
   }
+}
+
+// Concurrent reads of one LocalFileBackend overlap (pread, no lock around
+// the read) and still deliver every byte and count every request exactly.
+TEST(LocalFileBackend, ConcurrentReadsMatchTheFileImage) {
+  TempFile file("/tmp/sgs_test_pread.bin");
+  {
+    std::mt19937_64 rng(5);
+    std::vector<char> bytes(1 << 18);
+    for (char& b : bytes) b = static_cast<char>(rng());
+    std::ofstream out(file.path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const auto image = MemoryBackend::from_file(file.path);
+  ASSERT_NE(image, nullptr);
+  LocalFileBackend backend(file.path);
+  ASSERT_FALSE(backend.open_error().has_value());
+  const std::uint64_t size = backend.size();
+  ASSERT_EQ(size, image->size());
+
+  constexpr int kThreads = 8;
+  constexpr int kReads = 300;
+  std::atomic<std::uint64_t> bytes_read{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937_64 rng(100 + static_cast<std::uint64_t>(t));
+      std::vector<char> got, want;
+      for (int i = 0; i < kReads; ++i) {
+        const std::uint64_t offset = rng() % size;
+        const std::uint64_t len = std::min<std::uint64_t>(
+            1 + rng() % 8192, size - offset);
+        got.assign(len, 0);
+        want.assign(len, 1);
+        const auto r = backend.read_range(offset, got);
+        const auto w = image->read_range(offset, want);
+        if (!r.ok() || !w.ok() || r.value().bytes != len || got != want) {
+          ++mismatches;
+        }
+        bytes_read += len;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  FetchBackendStats s = backend.stats();
+  EXPECT_EQ(s.requests, std::uint64_t{kThreads * kReads});
+  EXPECT_EQ(s.bytes, bytes_read.load());
+  EXPECT_EQ(s.partial_reads, 0u);
+
+  // Past EOF: a short read, counted as a request with no bytes delivered.
+  std::vector<char> tail(20);
+  const auto past = backend.read_range(size - 10, tail);
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.error().kind, StreamErrorKind::kIoRead);
+  s = backend.stats();
+  EXPECT_EQ(s.requests, std::uint64_t{kThreads * kReads} + 1);
+  EXPECT_EQ(s.bytes, bytes_read.load());
+  EXPECT_EQ(s.partial_reads, 1u);
+
+  LocalFileBackend missing("/nonexistent/sgs_test_pread.bin");
+  ASSERT_TRUE(missing.open_error().has_value());
+  EXPECT_EQ(missing.open_error()->kind, StreamErrorKind::kIoOpen);
+  const auto r = missing.read_range(0, tail);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().kind, StreamErrorKind::kIoOpen);
+}
+
+// A 77-byte v1 header that ends right after its group count: every count
+// it claims must be checked against the bytes that follow it (none) before
+// open sizes anything from them.
+std::vector<char> crafted_header(std::uint32_t n_groups, bool vq) {
+  std::vector<char> b;
+  auto put = [&b](const auto& v) {
+    const char* p = reinterpret_cast<const char*>(&v);
+    b.insert(b.end(), p, p + sizeof(v));
+  };
+  put(kSgscMagic);
+  put(kSgscVersionV1);
+  put(std::uint32_t{vq ? 1u : 0u});
+  put(1.0f);             // voxel_size
+  put(std::int32_t{16});  // group_size
+  put(std::int32_t{1});   // ray_stride
+  put(std::uint8_t{1});   // use_coarse_filter
+  for (int i = 0; i < 3; ++i) put(0.0f);  // background
+  for (int i = 0; i < 3; ++i) put(0.0f);  // grid origin
+  put(1.0f);                               // grid voxel_size
+  for (int i = 0; i < 3; ++i) put(std::int32_t{64});  // grid dims
+  put(std::uint64_t{0});  // gaussian_count
+  put(n_groups);
+  return b;
+}
+
+long peak_rss_kb() {
+  rusage u{};
+  getrusage(RUSAGE_SELF, &u);
+  return u.ru_maxrss;
+}
+
+TEST(AssetStore, OpenRejectsCountsTheFileDoesNotBack) {
+  ASSERT_EQ(crafted_header(1, false).size(), 77u);
+  const long rss0 = peak_rss_kb();
+  for (const std::uint32_t n_groups : {1u << 24, 1u << 28}) {
+    StreamError error;
+    const auto store = AssetStore::open(
+        std::make_shared<MemoryBackend>(crafted_header(n_groups, false)),
+        &error);
+    EXPECT_EQ(store, nullptr) << n_groups;
+    EXPECT_EQ(error.kind, StreamErrorKind::kCorruptDirectory) << n_groups;
+  }
+  // A VQ header whose first codebook claims 1024 x 2^24 floats (64 GiB).
+  std::vector<char> vq = crafted_header(1, true);
+  for (const std::uint32_t v : {1024u, 1u << 24}) {
+    const char* p = reinterpret_cast<const char*>(&v);
+    vq.insert(vq.end(), p, p + sizeof(v));
+  }
+  StreamError error;
+  EXPECT_EQ(AssetStore::open(std::make_shared<MemoryBackend>(vq), &error),
+            nullptr);
+  EXPECT_EQ(error.kind, StreamErrorKind::kCorruptHeader);
+  EXPECT_LT(peak_rss_kb() - rss0, 64L * 1024);
 }
 
 TEST(ResidencyCache, FailedFetchServesDegradedThenNegativeCaches) {

@@ -2,10 +2,13 @@
 // quantized Gaussian model.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <cstdio>
 #include <sstream>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "gs/sh.hpp"
 #include "scene/generator.hpp"
@@ -96,6 +99,27 @@ TEST(KMeans, DeterministicForSeed) {
   const KMeansResult b = kmeans(data, 3, cfg);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.centroids, b.centroids);
+}
+
+// Assignment runs in parallel, but the inertia is summed in point order:
+// one thread or four give the same bits, so the tol early stop cannot flip.
+TEST(KMeans, InertiaIndependentOfThreadCount) {
+  const auto data = clustered_data(5000, 3, 12, 21);
+  KMeansConfig cfg;
+  cfg.k = 48;
+  cfg.max_iters = 30;
+  const int saved = parallelism();
+  set_parallelism(1);
+  const TrainedCodebook one = train_codebook(data, 3, cfg);
+  set_parallelism(4);
+  const TrainedCodebook four = train_codebook(data, 3, cfg);
+  set_parallelism(saved);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(one.inertia),
+            std::bit_cast<std::uint64_t>(four.inertia));
+  EXPECT_EQ(one.assignment, four.assignment);
+  const auto a = one.codebook.raw(), b = four.codebook.raw();
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
 TEST(KMeans, KLargerThanNClamped) {
