@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/parallel.hpp"
 #include "core/streaming_trace.hpp"
 #include "gs/projection.hpp"
 
@@ -38,19 +37,10 @@ FramePlan FramePlan::build(const voxel::VoxelGrid& grid,
   plan.candidates_.resize(group_count);
   plan.voxel_table_steps_ = static_cast<std::uint64_t>(grid.voxel_count());
 
-  // Per-worker local bins, merged once below: no shared state on the insert
-  // path. Each (voxel, group) pair is produced exactly once, so the merged,
-  // sorted candidate lists are independent of the schedule.
-  const int workers = parallelism();
-  std::vector<std::vector<std::vector<voxel::DenseVoxelId>>> local_bins(
-      static_cast<std::size_t>(workers));
-  for (auto& bins : local_bins) bins.resize(group_count);
-
+  // One serial pass in ascending voxel id, like the VSU's fixed table-build
+  // order: every candidate list, and the working set, come out sorted.
   const std::int32_t n_vox = grid.voxel_count();
-  parallel_for_workers(0, static_cast<std::size_t>(n_vox),
-                       [&](int worker, std::size_t vi) {
-    auto& bins = local_bins[static_cast<std::size_t>(worker)];
-    const auto v = static_cast<voxel::DenseVoxelId>(vi);
+  for (voxel::DenseVoxelId v = 0; v < n_vox; ++v) {
     // Project the 8 voxel corners: for a convex box fully in front of the
     // near plane, the hull of the projected corners bounds the box's
     // projection exactly. The (rare) near-plane straddle falls back to
@@ -81,7 +71,7 @@ FramePlan FramePlan::build(const voxel::VoxelGrid& grid,
       px1 = std::max(px1, uv.x);
       py1 = std::max(py1, uv.y);
     }
-    if (behind_near == 8) return;  // fully behind the near plane
+    if (behind_near == 8) continue;  // fully behind the near plane
     int gx0, gx1, gy0, gy1;
     if (behind_eps > 0) {
       // Crosses the camera plane itself: projection unbounded.
@@ -97,52 +87,29 @@ FramePlan FramePlan::build(const voxel::VoxelGrid& grid,
                                                     static_cast<float>(gsz)));
       gy1 = std::min(groups_y - 1, static_cast<int>((py1 + margin_px) /
                                                     static_cast<float>(gsz)));
-      if (gx0 > gx1 || gy0 > gy1) return;  // fully off-screen
     }
+    if (gx0 > gx1 || gy0 > gy1) continue;  // fully off-screen
     for (int gy = gy0; gy <= gy1; ++gy) {
       for (int gx = gx0; gx <= gx1; ++gx) {
-        bins[static_cast<std::size_t>(gy) * groups_x + gx].push_back(v);
+        plan.candidates_[static_cast<std::size_t>(gy) * groups_x + gx]
+            .push_back(v);
       }
     }
-  });
-
-  // Merge + sort per group (also parallel; groups are independent). The
-  // sort fixes the order regardless of which worker binned which voxel —
-  // the table build order is fixed in hardware anyway.
-  parallel_for(0, group_count, [&](std::size_t g) {
-    auto& out = plan.candidates_[g];
-    std::size_t total = 0;
-    for (const auto& bins : local_bins) total += bins[g].size();
-    out.reserve(total);
-    for (const auto& bins : local_bins) {
-      out.insert(out.end(), bins[g].begin(), bins[g].end());
-    }
-    std::sort(out.begin(), out.end());
-  });
+    plan.working_set_.push_back(v);
+  }
 
   return plan;
 }
 
-std::vector<voxel::DenseVoxelId> FramePlan::collect_unique_candidates() const {
-  std::vector<voxel::DenseVoxelId> all;
-  std::size_t total = 0;
-  for (const auto& c : candidates_) total += c.size();
-  all.reserve(total);
-  for (const auto& c : candidates_) all.insert(all.end(), c.begin(), c.end());
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  return all;
+bool FramePlan::same_image_geometry(const gs::Camera& cam) const {
+  return cam.width() == camera_.width() && cam.height() == camera_.height() &&
+         cam.fx() == camera_.fx() && cam.fy() == camera_.fy() &&
+         cam.cx() == camera_.cx() && cam.cy() == camera_.cy();
 }
 
 bool FramePlan::reusable_for(const gs::Camera& cam, float max_translation,
                              float max_rotation_rad) const {
-  if (cam.width() != camera_.width() || cam.height() != camera_.height()) {
-    return false;
-  }
-  if (cam.fx() != camera_.fx() || cam.fy() != camera_.fy() ||
-      cam.cx() != camera_.cx() || cam.cy() != camera_.cy()) {
-    return false;
-  }
+  if (!same_image_geometry(cam)) return false;
   if ((cam.position() - camera_.position()).norm() > max_translation) {
     return false;
   }

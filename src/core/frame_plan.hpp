@@ -27,9 +27,9 @@ class FramePlan {
   // Bins every non-empty voxel of `grid` into the pixel groups of `camera`'s
   // image. `margin_px` pads each voxel's projected bbox: the renderer needs
   // 1 px (rounding at group borders); plans built for reuse pass a larger
-  // margin so small camera motion keeps the binning usable. Parallelized
-  // with per-worker local bins merged once (no shared mutex on the insert
-  // path); candidate lists are sorted, hence deterministic.
+  // margin so small camera motion keeps the binning usable. One serial
+  // pass in ascending voxel id on the calling thread (no pool job), so every
+  // candidate list and the working set come out sorted by construction.
   static FramePlan build(const voxel::VoxelGrid& grid, const gs::Camera& camera,
                          int group_size, float margin_px = 1.0f);
 
@@ -54,19 +54,24 @@ class FramePlan {
     return candidates_[group];
   }
 
-  // Sorted union of every group's candidates: the plan's predicted voxel
-  // working set. Out-of-core sources pin these against eviction for the
-  // duration of a frame and seed prefetch ranking with them. (Rays of a
-  // *reused* plan can still discover voxels outside this set; those fetch
-  // on demand.) Computed on call — O(total candidates log) — so the
-  // single-frame resident path, which never needs it, pays nothing; the
-  // sequence renderer caches the result per plan build.
-  std::vector<voxel::DenseVoxelId> collect_unique_candidates() const;
+  // Sorted union of every group's candidates — the voxels binned into at
+  // least one group, recorded by build() in the same pass: the plan's
+  // predicted voxel working set. Out-of-core sources pin these against
+  // eviction for the duration of a frame and seed prefetch ranking with
+  // them. (Rays of a *reused* plan can still discover voxels outside this
+  // set; those fetch on demand.)
+  const std::vector<voxel::DenseVoxelId>& working_set() const {
+    return working_set_;
+  }
 
   // Table-build cost charged to the VSU (one conservative projection per
   // non-empty voxel). Zero table steps are charged for frames that reuse a
   // cached plan.
   std::uint64_t voxel_table_steps() const { return voxel_table_steps_; }
+
+  // True when `cam` has this plan's image geometry: same size and
+  // intrinsics (fx, fy, cx, cy). The pose may differ.
+  bool same_image_geometry(const gs::Camera& cam) const;
 
   // True when this plan is still usable for `cam`: identical image geometry
   // (size + intrinsics), the camera translated / rotated less than the
@@ -85,6 +90,7 @@ class FramePlan {
   float margin_px_ = 1.0f;
   std::uint64_t voxel_table_steps_ = 0;
   std::vector<std::vector<voxel::DenseVoxelId>> candidates_;
+  std::vector<voxel::DenseVoxelId> working_set_;
 };
 
 }  // namespace sgs::core

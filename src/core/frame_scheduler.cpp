@@ -1,14 +1,32 @@
 #include "core/frame_scheduler.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <optional>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "common/parallel.hpp"
 
 namespace sgs::core {
+
+namespace {
+
+// Flags every model index in `indices`. Workers of one job may flag the same
+// index at once, hence the relaxed atomic stores; the job's join orders them
+// before the serial read-off. Model indices are < gaussian_count by
+// construction: VoxelGrid::assemble rejects any resident index >=
+// gaussian_count, and AssetStore::open requires every tier >= 1 table to be
+// a subsequence of tier 0, so no source can hand the pipeline a larger one.
+void mark(std::vector<std::uint8_t>& flags,
+          const std::vector<std::uint32_t>& indices) {
+  for (const std::uint32_t i : indices) {
+    assert(i < flags.size());
+    std::atomic_ref<std::uint8_t>(flags[i]).store(1, std::memory_order_relaxed);
+  }
+}
+
+}  // namespace
 
 FrameScheduler::FrameScheduler()
     : contexts_(static_cast<std::size_t>(parallelism())) {}
@@ -20,10 +38,7 @@ StreamingRenderResult FrameScheduler::render_frame(
   // A plan binned for different image geometry would tile this frame
   // wrongly (and silently): reject it here, at the last common gate of the
   // single-frame and sequence paths.
-  const gs::Camera& pc = plan.camera();
-  if (pc.width() != camera.width() || pc.height() != camera.height() ||
-      pc.fx() != camera.fx() || pc.fy() != camera.fy() ||
-      pc.cx() != camera.cx() || pc.cy() != camera.cy()) {
+  if (!plan.same_image_geometry(camera)) {
     throw std::invalid_argument(
         "render_frame: camera image geometry does not match the plan's");
   }
@@ -51,10 +66,12 @@ StreamingRenderResult FrameScheduler::render_frame(
 
   // Per-group result slots: any dynamic schedule is race-free (disjoint
   // slots + disjoint pixel regions), and the sequential merge below makes
-  // every counter deterministic.
+  // every counter deterministic. The unique-Gaussian flags are set-once
+  // bytes, so their final state is schedule-independent too.
   std::vector<StreamingStats> group_stats(group_count);
-  std::vector<std::vector<std::uint32_t>> group_violators(group_count);
-  std::vector<std::vector<std::uint32_t>> group_contributors(group_count);
+  const std::size_t n_gaussians = scene.grid().gaussian_count();
+  contributed_.assign(n_gaussians, 0);
+  violated_.assign(n_gaussians, 0);
 
   // The pool may be resized between frames (set_parallelism in tests);
   // follow it so worker indices always have an arena.
@@ -77,14 +94,12 @@ StreamingRenderResult FrameScheduler::render_frame(
     GroupPipeline::render_group(scene, camera, plan, gi, pipe_options, src,
                                 ctx, result.trace.groups[gi], group_stats[gi],
                                 result.image);
-    group_violators[gi] = ctx.violators;
-    group_contributors[gi] = ctx.contributors;
+    mark(contributed_, ctx.contributors);
+    mark(violated_, ctx.violators);
   });
 
   // Deterministic merge in group-index order.
   StreamingStats total;
-  std::unordered_set<std::uint32_t> violator_set;
-  std::unordered_set<std::uint32_t> contributor_set;
   for (std::size_t gi = 0; gi < group_count; ++gi) {
     const StreamingStats& local = group_stats[gi];
     total.coarse_read_bytes += local.coarse_read_bytes;
@@ -103,8 +118,6 @@ StreamingRenderResult FrameScheduler::render_frame(
     total.cycle_breaks += local.cycle_breaks;
     total.max_voxel_residents =
         std::max(total.max_voxel_residents, local.max_voxel_residents);
-    for (std::uint32_t v : group_violators[gi]) violator_set.insert(v);
-    for (std::uint32_t c : group_contributors[gi]) contributor_set.insert(c);
   }
 
   // Groups tile the image exactly once: the per-group RGBA8 write-backs must
@@ -112,13 +125,19 @@ StreamingRenderResult FrameScheduler::render_frame(
   assert(total.frame_write_bytes ==
          static_cast<std::uint64_t>(width) * height * 4);
 
-  total.gaussians_blended_unique = contributor_set.size();
-  total.gaussians_violating_unique = violator_set.size();
+  total.gaussians_blended_unique = static_cast<std::uint64_t>(
+      std::count(contributed_.begin(), contributed_.end(), 1));
+  total.gaussians_violating_unique = static_cast<std::uint64_t>(
+      std::count(violated_.begin(), violated_.end(), 1));
   result.stats = total;
   result.trace.frame_write_bytes = total.frame_write_bytes;
   if (options.collect_violators) {
-    result.violators.assign(violator_set.begin(), violator_set.end());
-    std::sort(result.violators.begin(), result.violators.end());
+    result.violators.reserve(total.gaussians_violating_unique);
+    for (std::size_t i = 0; i < n_gaussians; ++i) {
+      if (violated_[i] != 0) {
+        result.violators.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
   }
   return result;
 }

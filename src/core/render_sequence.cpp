@@ -18,14 +18,9 @@ StreamingRenderResult SequenceRenderer::render(const gs::Camera& camera) {
   // Image-geometry changes invalidate the cached plan outright: a plan
   // binned for other dimensions or intrinsics must never be reused (the
   // scheduler would reject it), and it cannot become valid again later.
-  if (plan_.has_value()) {
-    const gs::Camera& pc = plan_->camera();
-    if (pc.width() != camera.width() || pc.height() != camera.height() ||
-        pc.fx() != camera.fx() || pc.fy() != camera.fy() ||
-        pc.cx() != camera.cx() || pc.cy() != camera.cy()) {
-      plan_.reset();
-      ++stats_.plans_invalidated_geometry;
-    }
+  if (plan_.has_value() && !plan_->same_image_geometry(camera)) {
+    plan_.reset();
+    ++stats_.plans_invalidated_geometry;
   }
 
   const bool reuse =
@@ -41,9 +36,6 @@ StreamingRenderResult SequenceRenderer::render(const gs::Camera& camera) {
                                    options_.render.collect_stage_timing,
                                    plan_ns);
     ++stats_.plans_built;
-    if (source_ != nullptr) {
-      plan_working_set_ = plan_->collect_unique_candidates();
-    }
   } else {
     ++stats_.plans_reused;
   }
@@ -63,7 +55,7 @@ StreamingRenderResult SequenceRenderer::render(const gs::Camera& camera) {
     intent.motion_translation = options_.reuse_max_translation;
     intent.motion_rotation_rad = options_.reuse_max_rotation_rad;
     intent.fetch_deadline_ns = options_.fetch_deadline_ns;
-    source_->begin_frame(intent, plan_working_set_);
+    source_->begin_frame(intent, plan_->working_set());
   }
 
   StreamingRenderResult result =

@@ -18,9 +18,10 @@
 // sessions, each with its own SequenceRenderer and stream::StreamingLoader
 // over one shared, thread-safe cache. When a `source` is supplied, every
 // frame is bracketed: begin_frame(intent, plan_voxels) before rendering —
-// the loader pins the plan's candidate working set against eviction,
-// selects tiers and prefetches ahead — and end_frame() after, which drops
-// exactly those pins.
+// plan_voxels is the cached plan's stored working set
+// (FramePlan::working_set), so a reused plan hands it over without any
+// recomputation; the loader pins it against eviction, selects tiers and
+// prefetches ahead — and end_frame() after, which drops exactly those pins.
 // The source's counter deltas over that window land in the result's
 // trace.cache, and frame_wall_ns carries the frame's wall-clock latency
 // for server-side p50/p95 aggregation.
@@ -80,7 +81,7 @@ class SequenceRenderer {
   // AssetStore::make_scene() scene). The renderer
   // brackets every frame with the source's begin_frame/end_frame — passing
   // the camera, the reuse envelope as the motion hint, and the plan's
-  // candidate working set — and publishes the source's per-frame counter
+  // working set — and publishes the source's per-frame counter
   // deltas in each result's trace.cache.
   explicit SequenceRenderer(const StreamingScene& scene,
                             SequenceOptions options = {},
@@ -99,9 +100,6 @@ class SequenceRenderer {
   stream::GroupSource* source_;
   FrameScheduler scheduler_;
   std::optional<FramePlan> plan_;
-  // The cached plan's candidate union, refreshed on rebuild; only
-  // maintained when a source consumes it (out-of-core rendering).
-  std::vector<voxel::DenseVoxelId> plan_working_set_;
   SequenceStats stats_;
 };
 

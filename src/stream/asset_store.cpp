@@ -8,7 +8,6 @@
 
 #include "core/streaming_trace.hpp"
 #include "gs/kernels.hpp"
-#include "obs/trace.hpp"
 #include "vq/quantized_model.hpp"
 
 namespace sgs::stream {
@@ -35,6 +34,13 @@ std::size_t record_bytes(bool vq, int sh_coeffs) {
   }
   return (11 + 3 * static_cast<std::size_t>(sh_coeffs)) * sizeof(float);
 }
+
+// Most raw voxels (x * y * z grid cells) a header may claim. Opening sizes
+// a 4 B renaming entry per raw voxel (VoxelGrid::assemble), so this bounds
+// that table at 64 MiB. The largest grid any preset, bench or test builds
+// has 93,025 cells (61 x 25 x 61: fig12_voxel_size at voxel size 0.5 on
+// `train`), 180x below the cap.
+constexpr std::uint64_t kMaxRawVoxels = std::uint64_t{1} << 24;
 
 bool valid_sh_coeffs(int n) { return n == 1 || n == 4 || n == 9 || n == 16; }
 
@@ -470,6 +476,15 @@ bool AssetStore::load(StreamError* error) {
       return fail(StreamErrorKind::kCorruptHeader,
                   ".sgsc grid config implausible");
     }
+    // Stepwise so the product cannot overflow: each factor is < 2^31.
+    std::uint64_t raw_voxels = 1;
+    for (const std::int32_t d : {gc.dims.x, gc.dims.y, gc.dims.z}) {
+      raw_voxels *= static_cast<std::uint64_t>(d);
+      if (raw_voxels > kMaxRawVoxels) {
+        return fail(StreamErrorKind::kCorruptHeader,
+                    ".sgsc grid has too many raw voxels");
+      }
+    }
     gaussian_count_ = static_cast<std::size_t>(get<std::uint64_t>(in));
     const std::uint32_t n_groups = get<std::uint32_t>(in);
     if (gaussian_count_ > (std::uint64_t{1} << 32) ||
@@ -689,35 +704,28 @@ DecodedGroup AssetStore::read_group_impl(voxel::DenseVoxelId v,
   }
   const TierExtent& e = tier_extent(v, tier);
   std::vector<char> buf(static_cast<std::size_t>(e.bytes));
-  std::uint64_t fetch_ns = 0;
-  {
-    SGS_TRACE_SPAN("cache", "read", "group", static_cast<std::uint64_t>(v),
-                   "tier", static_cast<std::uint64_t>(tier));
-    StreamResult<FetchInfo> read =
-        backend_->read_range(e.offset, std::span<char>(buf.data(), buf.size()));
-    if (!read.ok()) {
-      // Re-scope the transport's store-level error with the group+tier the
-      // cache needs for retry/backoff/degraded bookkeeping.
-      StreamError err = read.take_error();
-      err.group = static_cast<std::int64_t>(v);
-      err.tier = tier;
-      throw StreamException(std::move(err));
-    }
-    if (read.value().bytes != e.bytes) {
-      // A backend that reports success but delivered fewer bytes than the
-      // directory extent is still a short read mid-payload — map it to
-      // kIoRead here rather than letting the decoder misreport it.
-      throw fail(StreamErrorKind::kIoRead, "truncated .sgsc payload");
-    }
-    fetch_ns = read.value().elapsed_ns;
+  StreamResult<FetchInfo> read =
+      backend_->read_range(e.offset, std::span<char>(buf.data(), buf.size()));
+  if (!read.ok()) {
+    // Re-scope the transport's store-level error with the group+tier the
+    // cache needs for retry/backoff/degraded bookkeeping.
+    StreamError err = read.take_error();
+    err.group = static_cast<std::int64_t>(v);
+    err.tier = tier;
+    throw StreamException(std::move(err));
   }
+  if (read.value().bytes != e.bytes) {
+    // A backend that reports success but delivered fewer bytes than the
+    // directory extent is still a short read mid-payload — map it to
+    // kIoRead here rather than letting the decoder misreport it.
+    throw fail(StreamErrorKind::kIoRead, "truncated .sgsc payload");
+  }
+  const std::uint64_t fetch_ns = read.value().elapsed_ns;
 
-  // Decode bracket: the span feeds the trace timeline; the thread-local
-  // counter lets the group pipeline split a synchronous acquire into its
-  // fetch vs decode shares. Throwing paths skip the accumulation — an
-  // errored decode produces no payload to attribute.
-  SGS_TRACE_SPAN("cache", "decode", "group", static_cast<std::uint64_t>(v),
-                 "tier", static_cast<std::uint64_t>(tier));
+  // Decode bracket: the thread-local counter lets the group pipeline split
+  // a synchronous acquire into its fetch vs decode shares (the trace shows
+  // the whole miss as the cache's one `fetch` span). Throwing paths skip
+  // the accumulation — an errored decode produces no payload to attribute.
   const std::uint64_t decode_t0 = core::stage_clock_ns();
   DecodedGroup group;
   group.model_indices = group_indices(v, tier);

@@ -201,11 +201,25 @@ QuantizedModel QuantizedModel::load(std::istream& in) {
   if (get<std::uint32_t>(in) != kVqVersion) {
     throw std::runtime_error("unsupported quantized model version");
   }
+  // Every count the input claims is checked against the bytes it still
+  // holds before anything is sized from it: a crafted header must not make
+  // load allocate more than the input could back.
+  const std::streamoff begin = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff end = in.tellg();
+  in.seekg(begin);
+  if (begin < 0 || end < begin || !in) {
+    throw std::runtime_error("quantized model stream is not seekable");
+  }
+  const auto bytes_left = [&]() -> std::uint64_t {
+    const std::streamoff pos = in.tellg();
+    return pos < 0 || pos > end ? 0 : static_cast<std::uint64_t>(end - pos);
+  };
   QuantizedModel qm;
-  qm.scale_cb_ = Codebook::load(in);
-  qm.rotation_cb_ = Codebook::load(in);
-  qm.dc_cb_ = Codebook::load(in);
-  qm.sh_cb_ = Codebook::load(in);
+  qm.scale_cb_ = Codebook::load(in, bytes_left());
+  qm.rotation_cb_ = Codebook::load(in, bytes_left());
+  qm.dc_cb_ = Codebook::load(in, bytes_left());
+  qm.sh_cb_ = Codebook::load(in, bytes_left());
   if (qm.scale_cb_.dim() != 3 || qm.rotation_cb_.dim() != 4 ||
       qm.dc_cb_.dim() != 3 || qm.sh_cb_.dim() != 45) {
     throw std::runtime_error("quantized model codebooks have wrong dims");
@@ -213,6 +227,11 @@ QuantizedModel QuantizedModel::load(std::istream& in) {
   const std::uint64_t n = get<std::uint64_t>(in);
   if (n > (std::uint64_t{1} << 32)) {
     throw std::runtime_error("implausible quantized model size");
+  }
+  // Per-Gaussian record: position (3 f32), opacity (f32), 4 u16 indices.
+  constexpr std::uint64_t kRecordBytes = 4 * 4 + 4 * 2;
+  if (n * kRecordBytes > bytes_left()) {
+    throw std::runtime_error("quantized model records exceed the input");
   }
   qm.positions_.resize(n);
   qm.opacities_.resize(n);

@@ -73,7 +73,8 @@ class QuantizedModel {
   // trained codec can be shipped next to the scene instead of rebuilt. The
   // file holds no derivable data (the coarse max-scale is decode(i)'s).
   // save returns false on IO failure; load throws std::runtime_error on
-  // malformed input.
+  // malformed input, and before allocating when a codebook or the records
+  // would need more bytes than `in` still holds (`in` must be seekable).
   bool save(std::ostream& out) const;
   static QuantizedModel load(std::istream& in);
   bool save_file(const std::string& path) const;

@@ -381,8 +381,7 @@ TEST(Trace, OutOfCoreRenderBitIdenticalWithTracingOn) {
   for (const char* name : {"frame", "vsu", "filter", "sort", "blend"}) {
     EXPECT_TRUE(summary->by_name.count(name)) << name;
   }
-  EXPECT_TRUE(summary->by_name.count("fetch") ||
-              summary->by_name.count("decode"));
+  EXPECT_TRUE(summary->by_name.count("fetch"));
 }
 
 TEST(Trace, ServedSessionsBitIdenticalWithTracingOn) {

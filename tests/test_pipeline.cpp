@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <unordered_set>
 #include <vector>
 
@@ -794,10 +795,87 @@ TEST(FramePlan, UniqueCandidatesIsSortedUnionOfGroups) {
   for (std::size_t g = 0; g < plan.group_count(); ++g) {
     for (const voxel::DenseVoxelId v : plan.candidates(g)) expect.insert(v);
   }
-  const auto uniq = plan.collect_unique_candidates();
+  const auto& uniq = plan.working_set();
   EXPECT_EQ(uniq.size(), expect.size());
   EXPECT_TRUE(std::is_sorted(uniq.begin(), uniq.end()));
   for (const voxel::DenseVoxelId v : uniq) EXPECT_TRUE(expect.count(v) > 0);
+  // Every group's list is strictly ascending: sorted, no duplicates.
+  for (std::size_t g = 0; g < plan.group_count(); ++g) {
+    const auto& c = plan.candidates(g);
+    EXPECT_TRUE(std::adjacent_find(c.begin(), c.end(),
+                                   std::greater_equal<>()) == c.end())
+        << "group " << g;
+  }
+}
+
+// A frame is one pool job whether it builds its plan or reuses one: the plan
+// is binned serially on the caller, and the unique-Gaussian counts are
+// marked inside the render job.
+TEST(FrameScheduler, OnePoolJobPerFrame) {
+  const auto model = test_model(56, 3000);
+  StreamingConfig scfg;
+  scfg.voxel_size = 1.0f;
+  scfg.use_vq = false;
+  const StreamingScene scene = StreamingScene::prepare(model, scfg);
+  auto cam_at = [&](float x) {
+    return gs::Camera::look_at({x, 0, -5}, {0, 0, 0}, {0, 1, 0}, 0.8f, 128, 128);
+  };
+
+  const int saved = parallelism();
+  set_parallelism(4);
+  SequenceOptions opts;
+  opts.reuse_max_translation = 0.05f;
+  SequenceRenderer renderer(scene, opts);
+  // Build, reuse, rebuild.
+  for (const float x : {0.0f, 0.01f, 1.0f}) {
+    const std::uint64_t before = pool_jobs_completed();
+    renderer.render(cam_at(x));
+    EXPECT_EQ(pool_jobs_completed() - before, 1u) << "camera x " << x;
+  }
+  EXPECT_EQ(renderer.stats().plans_built, 2u);
+  EXPECT_EQ(renderer.stats().plans_reused, 1u);
+
+  const std::uint64_t before = pool_jobs_completed();
+  render_streaming(scene, cam_at(0.0f));
+  EXPECT_EQ(pool_jobs_completed() - before, 1u);
+  set_parallelism(saved);
+}
+
+// The frame-wide unique-Gaussian flags follow the scene's gaussian_count on
+// every frame: one scheduler alternating between scenes of different sizes
+// reports exactly what a fresh scheduler does, at any worker count.
+TEST(FrameScheduler, UniqueCountsFollowSceneSize) {
+  StreamingConfig scfg;
+  scfg.voxel_size = 0.8f;
+  scfg.use_vq = false;
+  const StreamingScene big = StreamingScene::prepare(test_model(57, 6000), scfg);
+  const StreamingScene small =
+      StreamingScene::prepare(test_model(58, 2000), scfg);
+  const gs::Camera cam = test_camera(128, 128);
+  StreamingRenderOptions opts;
+  opts.collect_violators = true;
+
+  const int saved = parallelism();
+  for (const int workers : {1, 4}) {
+    set_parallelism(workers);
+    FrameScheduler shared;
+    for (const StreamingScene* scene : {&big, &small, &big}) {
+      const FramePlan plan =
+          FramePlan::build(scene->grid(), cam, scene->config().group_size);
+      const auto reused = shared.render_frame(*scene, cam, plan, opts);
+      FrameScheduler fresh_scheduler;
+      const auto fresh = fresh_scheduler.render_frame(*scene, cam, plan, opts);
+      EXPECT_FALSE(fresh.violators.empty());
+      EXPECT_EQ(reused.violators, fresh.violators) << workers;
+      EXPECT_EQ(reused.stats.gaussians_blended_unique,
+                fresh.stats.gaussians_blended_unique);
+      EXPECT_EQ(reused.stats.gaussians_violating_unique,
+                fresh.stats.gaussians_violating_unique);
+      EXPECT_EQ(fresh.stats.gaussians_violating_unique,
+                fresh.violators.size());
+    }
+  }
+  set_parallelism(saved);
 }
 
 }  // namespace

@@ -10,11 +10,14 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <random>
 #include <thread>
 #include <vector>
@@ -1353,6 +1356,38 @@ TEST(AssetStore, OpenRejectsCountsTheFileDoesNotBack) {
   EXPECT_EQ(AssetStore::open(std::make_shared<MemoryBackend>(vq), &error),
             nullptr);
   EXPECT_EQ(error.kind, StreamErrorKind::kCorruptHeader);
+  EXPECT_LT(peak_rss_kb() - rss0, 64L * 1024);
+}
+
+// A valid raw store whose grid dims (header offset 53) are patched upward:
+// every raw voxel id stays in range, so only the raw-voxel cap stands
+// between the header and a 4 B-per-cell renaming table (1 GiB at
+// 1024 x 1024 x 256).
+TEST(AssetStore, OpenRejectsGridDimsPastTheRawVoxelCap) {
+  const auto scene = test_scene(44, 300, /*vq=*/false);
+  TempFile file("/tmp/sgs_test_griddims.sgsc");
+  ASSERT_TRUE(AssetStore::write(file.path, scene));
+  const auto image = MemoryBackend::from_file(file.path);
+  ASSERT_NE(image, nullptr);
+  std::vector<char> bytes(image->size());
+  ASSERT_TRUE(image->read_range(0, bytes).ok());
+  ASSERT_NE(AssetStore::open(std::make_shared<MemoryBackend>(bytes)),
+            nullptr);
+
+  const long rss0 = peak_rss_kb();
+  const std::int32_t huge = std::numeric_limits<std::int32_t>::max();
+  for (const std::array<std::int32_t, 3> dims :
+       {std::array<std::int32_t, 3>{1024, 1024, 256},
+        std::array<std::int32_t, 3>{huge, huge, huge}}) {
+    std::vector<char> patched = bytes;
+    std::memcpy(patched.data() + 53, dims.data(), sizeof(dims));
+    StreamError error;
+    EXPECT_EQ(AssetStore::open(std::make_shared<MemoryBackend>(patched),
+                               &error),
+              nullptr)
+        << dims[0];
+    EXPECT_EQ(error.kind, StreamErrorKind::kCorruptHeader) << dims[0];
+  }
   EXPECT_LT(peak_rss_kb() - rss0, 64L * 1024);
 }
 

@@ -1,6 +1,7 @@
 // Tests for vector quantization: k-means properties, codebooks, and the
 // quantized Gaussian model.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <bit>
 #include <cmath>
@@ -372,6 +373,53 @@ TEST(QuantizedModel, FileRoundTripAndBadInputs) {
   std::stringstream junk;
   junk.write("JUNKJUNKJUNK", 12);
   EXPECT_THROW(QuantizedModel::load(junk), std::runtime_error);
+}
+
+long peak_rss_kb() {
+  rusage u{};
+  getrusage(RUSAGE_SELF, &u);
+  return u.ru_maxrss;
+}
+
+template <typename T>
+void put(std::string& b, T v) {
+  b.append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+// Magic + version of the SGVQ format, then whatever the probe claims.
+std::string vq_header() {
+  std::string b;
+  put(b, std::uint32_t{0x51564753});  // "SGVQ"
+  put(b, std::uint32_t{1});
+  return b;
+}
+
+TEST(QuantizedModel, LoadRejectsCountsTheInputDoesNotBack) {
+  const long rss0 = peak_rss_kb();
+  // 16 bytes: the first codebook claims 45 x 2^22 floats (720 MiB).
+  std::string book = vq_header();
+  put(book, std::uint32_t{45});
+  put(book, std::uint32_t{1} << 22);
+  ASSERT_EQ(book.size(), 16u);
+  std::stringstream book_in(book);
+  EXPECT_THROW(QuantizedModel::load(book_in), std::runtime_error);
+
+  // 268 bytes: four valid one-entry codebooks, then a Gaussian count with
+  // no records behind it (2^24 needs 384 MiB of records, 2^32 ~96 GiB).
+  for (const std::uint64_t n : {std::uint64_t{1} << 24,
+                                std::uint64_t{1} << 32}) {
+    std::string b = vq_header();
+    for (const std::uint32_t dim : {3u, 4u, 3u, 45u}) {
+      put(b, dim);
+      put(b, std::uint32_t{1});
+      for (std::uint32_t d = 0; d < dim; ++d) put(b, 0.0f);
+    }
+    put(b, n);
+    ASSERT_EQ(b.size(), 268u);
+    std::stringstream in(b);
+    EXPECT_THROW(QuantizedModel::load(in), std::runtime_error) << n;
+  }
+  EXPECT_LT(peak_rss_kb() - rss0, 64L * 1024);
 }
 
 }  // namespace

@@ -11,8 +11,8 @@
 //   --require-stages        all five pipeline stages (plan/vsu/filter/sort/
 //                           blend) present as spans, from >= 3 distinct
 //                           threads overall
-//   --require-cache-events  >= 1 residency-cache event (fetch/decode span
-//                           or evict/retry/degraded instant)
+//   --require-cache-events  >= 1 residency-cache event (fetch span or
+//                           evict/retry/degraded instant)
 // Exit status: 0 ok, 1 validation or requirement failure, 2 usage error.
 #include <cstdio>
 #include <cstdlib>
@@ -149,9 +149,8 @@ int main(int argc, char** argv) {
   }
   if (require_cache_events) {
     std::uint64_t cache_events = 0;
-    for (const char* span : {"fetch", "decode", "read"}) {
-      const auto it = s.by_name.find(span);
-      if (it != s.by_name.end()) cache_events += it->second.count;
+    if (const auto it = s.by_name.find("fetch"); it != s.by_name.end()) {
+      cache_events += it->second.count;
     }
     for (const char* inst : {"evict", "retry", "degraded"}) {
       const auto it = s.instants_by_name.find(inst);
@@ -160,8 +159,7 @@ int main(int argc, char** argv) {
     if (cache_events == 0) {
       std::fprintf(stderr,
                    "REQUIRE failed: no residency-cache events "
-                   "(fetch/decode/read spans or evict/retry/degraded "
-                   "instants)\n");
+                   "(fetch spans or evict/retry/degraded instants)\n");
       ok = false;
     }
   }
