@@ -7,8 +7,9 @@
 // BENCH_kernels.json (flat key/value, schema in docs/BENCHMARKS.md): the
 // per-kernel scalar-vs-SIMD and SoA-vs-AoS numbers CI smokes and uploads.
 // The pass double-checks that scalar and SIMD outputs agree within
-// kSimdAbsTolerance and exits non-zero when they do not, so the smoke step
-// is a correctness gate as well as a trend file.
+// kSimdAbsTolerance and exits non-zero when they do not, or when the host
+// has no vector level to compare, so the smoke step is a correctness gate
+// as well as a trend file.
 //
 //   ./bench_kernels [--out BENCH_kernels.json] [--json_only]
 //                   [google-benchmark flags...]
@@ -125,9 +126,9 @@ void BM_AlphaBlend(benchmark::State& state) {
 BENCHMARK(BM_AlphaBlend);
 
 // ---------------------------------------------------- batched SoA kernels ---
-// Arg(0/1/2) pins dispatch to scalar/sse2/avx2; levels above the host cap
-// are clamped by active_isa(), so reported numbers for unavailable ISAs
-// just repeat the highest available one.
+// Arg(0/1) pins dispatch to scalar/avx2; a level above the host cap is
+// clamped by active_isa(), so on a host without AVX2+FMA the Arg(1) row
+// just repeats scalar (its label says which level ran).
 
 simd::IsaLevel arg_isa(const benchmark::State& state) {
   return static_cast<simd::IsaLevel>(state.range(0));
@@ -172,7 +173,7 @@ void BM_CoarseFilterSoA(benchmark::State& state) {
                           static_cast<std::int64_t>(cols.size()));
   state.SetLabel(simd::isa_name(simd::active_isa()));
 }
-BENCHMARK(BM_CoarseFilterSoA)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_CoarseFilterSoA)->Arg(0)->Arg(1);
 
 void BM_FineProjectBatch(benchmark::State& state) {
   const auto model = bench_model(4096);
@@ -191,26 +192,7 @@ void BM_FineProjectBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(cand.size()));
   state.SetLabel(simd::isa_name(simd::active_isa()));
 }
-BENCHMARK(BM_FineProjectBatch)->Arg(0)->Arg(2);
-
-void BM_ShEvalBatch(benchmark::State& state) {
-  const auto model = bench_model(4096);
-  const auto cols = bench_columns(model);
-  std::vector<std::uint32_t> locals(cols.size());
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    locals[i] = static_cast<std::uint32_t>(i);
-  }
-  std::vector<Vec3f> colors(cols.size());
-  const simd::ScopedForceIsa pin(arg_isa(state));
-  for (auto _ : state) {
-    gs::eval_sh_batch(cols, 0, locals, {0, 0, -5}, colors.data());
-    benchmark::DoNotOptimize(colors.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(cols.size()));
-  state.SetLabel(simd::isa_name(simd::active_isa()));
-}
-BENCHMARK(BM_ShEvalBatch)->Arg(0)->Arg(2);
+BENCHMARK(BM_FineProjectBatch)->Arg(0)->Arg(1);
 
 std::vector<gs::ProjectedGaussian> bench_survivor_stream(std::size_t n) {
   Rng rng(5);
@@ -248,30 +230,50 @@ void BM_BlendSurvivors(benchmark::State& state) {
   benchmark::DoNotOptimize(ops);
   state.SetLabel(simd::isa_name(simd::active_isa()));
 }
-BENCHMARK(BM_BlendSurvivors)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_BlendSurvivors)->Arg(0)->Arg(1);
 
-// Batched VQ decode primitive: one codebook column gathered for a whole
-// group (scalar loop vs AVX2 gather), strided into an SH column.
+// Batched VQ decode primitive: three codebook columns gathered for a whole
+// group of `n` records (scalar loop vs AVX2 gather). At dst_stride 16 they
+// land in interleaved SH coefficient slots (the store's SH columns); at
+// stride 1 in three contiguous columns (its scale and rotation columns).
+struct GatherFixture {
+  static constexpr std::size_t kDim = 45, kEntries = 256;
+  std::vector<float> cb;
+  std::vector<std::uint32_t> idx;
+  std::vector<float> dst;
+
+  explicit GatherFixture(std::size_t n)
+      : cb(kDim * kEntries), idx(n), dst(n * gs::kShCoeffCount, 0.0f) {
+    Rng rng(17);
+    for (auto& v : cb) v = rng.normal();
+    for (auto& i : idx) {
+      i = static_cast<std::uint32_t>(rng.uniform_index(kEntries));
+    }
+  }
+  void run(std::size_t dst_stride) {
+    const std::size_t n = idx.size();
+    for (std::size_t c = 0; c < 3; ++c) {
+      float* col = dst.data() + (dst_stride == 1 ? c * n : c);
+      gs::gather_codebook_column(col, dst_stride, cb.data(), idx.data(), n,
+                                 kDim, c);
+    }
+  }
+};
+
+// Args: (isa, dst_stride).
 void BM_VqGatherColumn(benchmark::State& state) {
-  Rng rng(17);
-  const std::size_t dim = 45, entries = 256, n = 4096;
-  std::vector<float> cb(dim * entries);
-  for (auto& v : cb) v = rng.normal();
-  std::vector<std::uint32_t> idx(n);
-  for (auto& i : idx) i = static_cast<std::uint32_t>(rng.uniform_index(entries));
-  std::vector<float> dst(n * gs::kShCoeffCount);
+  GatherFixture fx(4096);
+  const auto dst_stride = static_cast<std::size_t>(state.range(1));
   const simd::ScopedForceIsa pin(arg_isa(state));
   for (auto _ : state) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      gs::gather_codebook_column(dst.data() + c, gs::kShCoeffCount, cb.data(),
-                                 idx.data(), n, dim, c);
-    }
-    benchmark::DoNotOptimize(dst.data());
+    fx.run(dst_stride);
+    benchmark::DoNotOptimize(fx.dst.data());
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(3 * n));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(3 * fx.idx.size()));
   state.SetLabel(simd::isa_name(simd::active_isa()));
 }
-BENCHMARK(BM_VqGatherColumn)->Arg(0)->Arg(2);
+BENCHMARK(BM_VqGatherColumn)->ArgsProduct({{0, 1}, {1, 16}});
 
 void BM_DdaTraversal(benchmark::State& state) {
   const auto model = bench_model(20000);
@@ -475,29 +477,6 @@ bool emit_kernels_json(const std::string& out_path) {
             near_rel(fine_simd[j].proj.radius, fine_scalar[j].proj.radius);
   }
 
-  // SH evaluation over every record.
-  std::vector<std::uint32_t> locals(cols.size());
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    locals[i] = static_cast<std::uint32_t>(i);
-  }
-  std::vector<Vec3f> col_scalar(cols.size()), col_simd(cols.size());
-  double sh_scalar_ms, sh_simd_ms;
-  {
-    const simd::ScopedForceIsa pin(simd::IsaLevel::kScalar);
-    sh_scalar_ms = best_ms(
-        [&] { gs::eval_sh_batch(cols, 0, locals, {0, 0, -5}, col_scalar.data()); });
-  }
-  {
-    const simd::ScopedForceIsa pin(top);
-    sh_simd_ms = best_ms(
-        [&] { gs::eval_sh_batch(cols, 0, locals, {0, 0, -5}, col_simd.data()); });
-  }
-  for (std::size_t i = 0; match && i < cols.size(); ++i) {
-    match = std::abs(col_simd[i].x - col_scalar[i].x) <= gs::kSimdAbsTolerance &&
-            std::abs(col_simd[i].y - col_scalar[i].y) <= gs::kSimdAbsTolerance &&
-            std::abs(col_simd[i].z - col_scalar[i].z) <= gs::kSimdAbsTolerance;
-  }
-
   // Alpha blending of a survivor stream into one 64x64 group.
   const auto stream = bench_survivor_stream(128);
   gs::BlendPlanes planes_scalar, planes_simd;
@@ -528,32 +507,27 @@ bool emit_kernels_json(const std::string& out_path) {
                 gs::kSimdAbsTolerance;
   }
 
-  // Batched VQ codebook gather (bitwise contract).
-  Rng rng(17);
-  const std::size_t dim = 45, entries = 256, n = 4096;
-  std::vector<float> cb(dim * entries);
-  for (auto& v : cb) v = rng.normal();
-  std::vector<std::uint32_t> gidx(n);
-  for (auto& i : gidx) i = static_cast<std::uint32_t>(rng.uniform_index(entries));
-  std::vector<float> dst_scalar(n * gs::kShCoeffCount, 0.0f);
-  std::vector<float> dst_simd(n * gs::kShCoeffCount, 0.0f);
-  const auto gather_pass = [&](std::vector<float>& dst) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      gs::gather_codebook_column(dst.data() + c, gs::kShCoeffCount, cb.data(),
-                                 gidx.data(), n, dim, c);
+  // Batched VQ codebook gather (bitwise contract), at both destination
+  // strides the store decodes with. Each pair runs before `&& match`, so
+  // both rows are timed even after an earlier mismatch.
+  const auto gather_pair = [&](std::size_t dst_stride, double& scalar_ms,
+                               double& simd_ms) {
+    GatherFixture scalar_fx(4096), simd_fx(4096);
+    {
+      const simd::ScopedForceIsa pin(simd::IsaLevel::kScalar);
+      scalar_ms = best_ms([&] { scalar_fx.run(dst_stride); });
     }
+    {
+      const simd::ScopedForceIsa pin(top);
+      simd_ms = best_ms([&] { simd_fx.run(dst_stride); });
+    }
+    return std::memcmp(scalar_fx.dst.data(), simd_fx.dst.data(),
+                       scalar_fx.dst.size() * sizeof(float)) == 0;
   };
-  double gather_scalar_ms, gather_simd_ms;
-  {
-    const simd::ScopedForceIsa pin(simd::IsaLevel::kScalar);
-    gather_scalar_ms = best_ms([&] { gather_pass(dst_scalar); });
-  }
-  {
-    const simd::ScopedForceIsa pin(top);
-    gather_simd_ms = best_ms([&] { gather_pass(dst_simd); });
-  }
-  match = match && std::memcmp(dst_scalar.data(), dst_simd.data(),
-                               dst_scalar.size() * sizeof(float)) == 0;
+  double gather_scalar_ms, gather_simd_ms, gather1_scalar_ms, gather1_simd_ms;
+  match = gather_pair(gs::kShCoeffCount, gather_scalar_ms, gather_simd_ms) &&
+          match;
+  match = gather_pair(1, gather1_scalar_ms, gather1_simd_ms) && match;
 
   const auto speedup = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
   std::ofstream json(out_path);
@@ -571,9 +545,6 @@ bool emit_kernels_json(const std::string& out_path) {
        << "  \"fine_simd_ms\": " << fine_simd_ms << ",\n"
        << "  \"fine_simd_speedup\": " << speedup(fine_scalar_ms, fine_simd_ms)
        << ",\n"
-       << "  \"sh_scalar_ms\": " << sh_scalar_ms << ",\n"
-       << "  \"sh_simd_ms\": " << sh_simd_ms << ",\n"
-       << "  \"sh_simd_speedup\": " << speedup(sh_scalar_ms, sh_simd_ms) << ",\n"
        << "  \"blend_scalar_ms\": " << blend_scalar_ms << ",\n"
        << "  \"blend_simd_ms\": " << blend_simd_ms << ",\n"
        << "  \"blend_simd_speedup\": "
@@ -582,6 +553,10 @@ bool emit_kernels_json(const std::string& out_path) {
        << "  \"vq_gather_simd_ms\": " << gather_simd_ms << ",\n"
        << "  \"vq_gather_simd_speedup\": "
        << speedup(gather_scalar_ms, gather_simd_ms) << ",\n"
+       << "  \"vq_gather_stride1_scalar_ms\": " << gather1_scalar_ms << ",\n"
+       << "  \"vq_gather_stride1_simd_ms\": " << gather1_simd_ms << ",\n"
+       << "  \"vq_gather_stride1_simd_speedup\": "
+       << speedup(gather1_scalar_ms, gather1_simd_ms) << ",\n"
        << "  \"kernels_match\": " << (match ? "true" : "false") << "\n"
        << "}\n";
   std::printf("wrote %s (isa %s, kernels_match %s)\n", out_path.c_str(),
@@ -610,6 +585,14 @@ int main(int argc, char** argv) {
   }
   argc = w;
 
+  // Without a vector level the pass would compare scalar against itself
+  // and report a match that checked nothing.
+  if (simd::detect_isa() == simd::IsaLevel::kScalar) {
+    std::fprintf(stderr, "FAILED: no vector ISA to compare (host lacks "
+                         "AVX2+FMA, SGS_FORCE_SCALAR is set, or the build "
+                         "has -DSGS_SIMD=OFF)\n");
+    return 1;
+  }
   if (!emit_kernels_json(out_path)) {
     std::fprintf(stderr, "FAILED: scalar-vs-SIMD kernel outputs diverged "
                          "beyond the tolerance contract\n");

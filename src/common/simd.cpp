@@ -18,7 +18,6 @@ IsaLevel probe() {
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return IsaLevel::kAvx2;
   }
-  if (__builtin_cpu_supports("sse2")) return IsaLevel::kSse2;
   return IsaLevel::kScalar;
 #else
   return IsaLevel::kScalar;
@@ -48,15 +47,7 @@ void force_isa(IsaLevel level) {
 void clear_forced_isa() { g_forced.store(-1, std::memory_order_relaxed); }
 
 const char* isa_name(IsaLevel level) {
-  switch (level) {
-    case IsaLevel::kSse2:
-      return "sse2";
-    case IsaLevel::kAvx2:
-      return "avx2";
-    case IsaLevel::kScalar:
-    default:
-      return "scalar";
-  }
+  return level == IsaLevel::kAvx2 ? "avx2" : "scalar";
 }
 
 ScopedForceIsa::ScopedForceIsa(IsaLevel level)

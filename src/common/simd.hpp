@@ -1,18 +1,16 @@
 // Runtime CPU-feature dispatch for the per-Gaussian SIMD kernels
-// (gs/kernels.hpp). The kernels ship three tiers:
+// (gs/kernels.hpp). The kernels ship two tiers:
 //
-//   kScalar — the reference path. Calls the exact same scalar routines the
-//     pre-SIMD pipeline used (projection.cpp, sh.cpp, blending.cpp), so a
-//     scalar-dispatched render is bit-identical to the historical output and
-//     to the frozen golden tests.
-//   kSse2   — 4-wide coarse filter and alpha blending (x86-64 baseline; the
-//     fine projection and SH evaluation fall back to scalar).
-//   kAvx2   — 8-wide coarse filter, fine projection, SH evaluation, and
+//   kScalar — the reference path, run on every host. Calls the exact same
+//     scalar routines the pre-SIMD pipeline used (projection.cpp, sh.cpp,
+//     blending.cpp), so a scalar-dispatched render is bit-identical to the
+//     historical output and to the frozen golden tests.
+//   kAvx2   — 8-wide coarse filter, fine projection (with SH color), and
 //     alpha blending, plus gathered VQ codebook decode. Requires AVX2+FMA.
 //
 // Dispatch is resolved per kernel call from active_isa(): the detected level
 // by default, or a pinned level when one of the override channels is set —
-// force_isa() (tests, the examples' --force-scalar flag) or the
+// force_isa() (tests, the examples' --force_scalar flag) or the
 // SGS_FORCE_SCALAR environment variable (CI's forced-scalar smoke). Forcing
 // *up* is clamped to the detected level, so a pinned binary can degrade but
 // never execute instructions the host lacks. Building with -DSGS_SIMD=OFF
@@ -33,7 +31,7 @@
 
 namespace sgs::simd {
 
-enum class IsaLevel : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class IsaLevel : int { kScalar = 0, kAvx2 = 1 };
 
 // Highest level this host supports (cached cpuid probe; kScalar when built
 // with -DSGS_SIMD=OFF, on non-x86 targets, or under SGS_FORCE_SCALAR).
@@ -47,7 +45,7 @@ IsaLevel active_isa();
 void force_isa(IsaLevel level);
 void clear_forced_isa();
 
-// Human-readable name ("scalar", "sse2", "avx2") for logs and benches.
+// Human-readable name ("scalar", "avx2") for logs and benches.
 const char* isa_name(IsaLevel level);
 
 // RAII pin used by tests: forces `level` for the scope, then restores the

@@ -54,7 +54,6 @@ StreamingRenderResult SequenceRenderer::render(const gs::Camera& camera) {
     intent.camera = &camera;
     intent.motion_translation = options_.reuse_max_translation;
     intent.motion_rotation_rad = options_.reuse_max_rotation_rad;
-    intent.fetch_deadline_ns = options_.fetch_deadline_ns;
     source_->begin_frame(intent, plan_->working_set());
   }
 

@@ -55,14 +55,6 @@ struct SequenceOptions {
   // Binning margin used for plans built by the sequence (the single-frame
   // renderer uses 1 px; sequences pad more so the plan survives motion).
   float plan_margin_px = 24.0f;
-  // Per-frame demand-fetch budget handed to the source's FrameIntent,
-  // RELATIVE nanoseconds from its begin_frame. kNoFetchDeadline keeps
-  // demand misses blocking (bit-exact); a finite budget lets a
-  // deadline-aware source (stream::StreamingLoader over a coarse-floored
-  // cache) serve expired misses from its always-resident coarse tier —
-  // the frame never stalls, trace.cache.coarse_fallbacks counts the
-  // substitutions. Ignored by sources without deadline support.
-  std::uint64_t fetch_deadline_ns = kNoFetchDeadline;
 };
 
 struct SequenceStats {

@@ -7,11 +7,6 @@
 // per call: a ScopedForceIsa around a render switches every kernel at once.
 #include "gs/kernels.hpp"
 
-#include <array>
-#include <numeric>
-
-#include "gs/sh.hpp"
-
 namespace sgs::gs {
 
 namespace {
@@ -46,23 +41,6 @@ void fine_project_batch_scalar(const GaussianColumns& cols, std::size_t first,
       continue;
     }
     out.push_back({*proj, local});
-  }
-}
-
-void eval_sh_batch_scalar(const GaussianColumns& cols, std::size_t first,
-                          std::span<const std::uint32_t> locals, Vec3f cam_pos,
-                          Vec3f* out_colors) {
-  std::array<Vec3f, kShCoeffCount> coeffs;
-  for (std::size_t j = 0; j < locals.size(); ++j) {
-    const std::size_t k = first + locals[j];
-    const std::size_t base = k * static_cast<std::size_t>(kShCoeffCount);
-    for (std::size_t c = 0; c < static_cast<std::size_t>(kShCoeffCount); ++c) {
-      coeffs[c] = {cols.sh_r[base + c], cols.sh_g[base + c],
-                   cols.sh_b[base + c]};
-    }
-    const Vec3f dir =
-        Vec3f{cols.px[k], cols.py[k], cols.pz[k]} - cam_pos;
-    out_colors[j] = eval_sh(coeffs, dir);
   }
 }
 
@@ -120,15 +98,9 @@ void coarse_filter_batch(const GaussianColumns& cols, std::size_t first,
                          const FilterRect& rect,
                          std::vector<std::uint32_t>& out_idx) {
 #ifdef SGS_KERNELS_X86
-  switch (simd::active_isa()) {
-    case simd::IsaLevel::kAvx2:
-      return detail::coarse_filter_batch_avx2(cols, first, count, cam, rect,
-                                              out_idx);
-    case simd::IsaLevel::kSse2:
-      return detail::coarse_filter_batch_sse2(cols, first, count, cam, rect,
-                                              out_idx);
-    default:
-      break;
+  if (simd::active_isa() == simd::IsaLevel::kAvx2) {
+    return detail::coarse_filter_batch_avx2(cols, first, count, cam, rect,
+                                            out_idx);
   }
 #endif
   coarse_filter_batch_scalar(cols, first, count, cam, rect, out_idx);
@@ -139,7 +111,6 @@ void fine_project_batch(const GaussianColumns& cols, std::size_t first,
                         const Camera& cam, const FilterRect& rect,
                         std::vector<FineSurvivor>& out) {
 #ifdef SGS_KERNELS_X86
-  // The fine phase vectorizes at AVX2 only; kSse2 shares the scalar path.
   if (simd::active_isa() == simd::IsaLevel::kAvx2) {
     return detail::fine_project_batch_avx2(cols, first, candidates, cam, rect,
                                            out);
@@ -148,32 +119,14 @@ void fine_project_batch(const GaussianColumns& cols, std::size_t first,
   fine_project_batch_scalar(cols, first, candidates, cam, rect, out);
 }
 
-void eval_sh_batch(const GaussianColumns& cols, std::size_t first,
-                   std::span<const std::uint32_t> locals, Vec3f cam_pos,
-                   Vec3f* out_colors) {
-#ifdef SGS_KERNELS_X86
-  if (simd::active_isa() == simd::IsaLevel::kAvx2) {
-    return detail::eval_sh_batch_avx2(cols, first, locals, cam_pos,
-                                      out_colors);
-  }
-#endif
-  eval_sh_batch_scalar(cols, first, locals, cam_pos, out_colors);
-}
-
 BlendCounters blend_survivor(BlendPlanes& planes, std::vector<float>& max_depth,
                              const ProjectedGaussian& proj,
                              const PixelSpan& span, int px0, int py0,
                              int row_w) {
 #ifdef SGS_KERNELS_X86
-  switch (simd::active_isa()) {
-    case simd::IsaLevel::kAvx2:
-      return detail::blend_survivor_avx2(planes, max_depth, proj, span, px0,
-                                         py0, row_w);
-    case simd::IsaLevel::kSse2:
-      return detail::blend_survivor_sse2(planes, max_depth, proj, span, px0,
-                                         py0, row_w);
-    default:
-      break;
+  if (simd::active_isa() == simd::IsaLevel::kAvx2) {
+    return detail::blend_survivor_avx2(planes, max_depth, proj, span, px0,
+                                       py0, row_w);
   }
 #endif
   return blend_survivor_scalar(planes, max_depth, proj, span, px0, py0, row_w);

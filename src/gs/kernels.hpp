@@ -1,14 +1,13 @@
 // Batched per-Gaussian kernels over GaussianColumns, with runtime ISA
-// dispatch (common/simd.hpp). These are the four hot loops of the streaming
+// dispatch (common/simd.hpp). These are the three hot loops of the streaming
 // pipeline — the software analogue of the paper's CFU/FFU datapaths:
 //
 //   (1) coarse_filter_batch — the 8-wide coarse frustum-vs-rect test over
 //       the {x, y, z, s_max} columns (16 B/record, exactly the CFU stream).
 //   (2) fine_project_batch  — covariance construction, EWA projection,
-//       conic/radius/cull math over the coarse survivors.
-//   (3) eval_sh_batch       — degree-3 SH polynomial evaluation batched
-//       over survivors (fine_project_batch calls the same routine).
-//   (4) blend_survivor      — per-pixel-run alpha accumulation into SoA
+//       conic/radius/cull math and degree-3 SH color over the coarse
+//       survivors.
+//   (3) blend_survivor      — per-pixel-run alpha accumulation into SoA
 //       accumulator planes.
 // Plus gather_codebook_column, the batched VQ decode primitive (8 records
 // per codebook lookup under AVX2).
@@ -72,7 +71,7 @@ struct FineSurvivor {
   std::uint32_t local = 0;
 };
 
-// (2)+(3) Fine projection over `candidates` (local indices into the slice
+// (2) Fine projection over `candidates` (local indices into the slice
 // at `first`): exact covariance/conic/radius math, near-plane, opacity and
 // degeneracy culls, the rect intersection test, and SH color evaluation for
 // the survivors. Appends survivors in candidate order.
@@ -81,14 +80,7 @@ void fine_project_batch(const GaussianColumns& cols, std::size_t first,
                         const Camera& cam, const FilterRect& rect,
                         std::vector<FineSurvivor>& out);
 
-// (3) Batched SH evaluation: out_colors[j] = the view-dependent color of
-// record locals[j] of the slice at `first`, seen from `cam_pos` (matches
-// eval_sh: normalized direction, +0.5 offset, clamp at 0).
-void eval_sh_batch(const GaussianColumns& cols, std::size_t first,
-                   std::span<const std::uint32_t> locals, Vec3f cam_pos,
-                   Vec3f* out_colors);
-
-// (4) SoA accumulator planes for one pixel group: the blend stage's
+// (3) SoA accumulator planes for one pixel group: the blend stage's
 // compositing state, one float plane per channel plus transmittance.
 // Replaces the AoS PixelAccumulator array so the blender updates 8 pixels
 // per vector op.
@@ -145,10 +137,6 @@ void gather_codebook_column(float* dst, std::size_t dst_stride,
 // kernels.cpp. Exposed for the per-ISA equivalence tests; call the
 // dispatching entry points above everywhere else.
 namespace detail {
-void coarse_filter_batch_sse2(const GaussianColumns& cols, std::size_t first,
-                              std::size_t count, const Camera& cam,
-                              const FilterRect& rect,
-                              std::vector<std::uint32_t>& out_idx);
 void coarse_filter_batch_avx2(const GaussianColumns& cols, std::size_t first,
                               std::size_t count, const Camera& cam,
                               const FilterRect& rect,
@@ -157,14 +145,6 @@ void fine_project_batch_avx2(const GaussianColumns& cols, std::size_t first,
                              std::span<const std::uint32_t> candidates,
                              const Camera& cam, const FilterRect& rect,
                              std::vector<FineSurvivor>& out);
-void eval_sh_batch_avx2(const GaussianColumns& cols, std::size_t first,
-                        std::span<const std::uint32_t> locals, Vec3f cam_pos,
-                        Vec3f* out_colors);
-BlendCounters blend_survivor_sse2(BlendPlanes& planes,
-                                  std::vector<float>& max_depth,
-                                  const ProjectedGaussian& proj,
-                                  const PixelSpan& span, int px0, int py0,
-                                  int row_w);
 BlendCounters blend_survivor_avx2(BlendPlanes& planes,
                                   std::vector<float>& max_depth,
                                   const ProjectedGaussian& proj,

@@ -1,15 +1,15 @@
-// SSE2 / AVX2 kernel implementations. Compiled into every x86 build (unless
-// -DSGS_SIMD=OFF) without per-file -mavx2 flags: each AVX2 function carries
-// a target("avx2,fma") attribute, so the TU stays runnable on baseline
-// hosts and the dispatcher (kernels.cpp) alone decides what executes.
+// AVX2 kernel implementations. Compiled into every x86 build (unless
+// -DSGS_SIMD=OFF) without per-file -mavx2 flags: each function carries a
+// target("avx2,fma") attribute, so the TU stays runnable on hosts without
+// AVX2 and the dispatcher (kernels.cpp) alone decides what executes.
 //
 // Determinism rules every kernel here follows:
 //   - lane blocking counts from the logical start of the slice (i = 0, 8,
 //     16, ...), never from pointer alignment, so a cache entry (first == 0)
 //     and a resident slice (first == arbitrary) with equal bytes produce
 //     equal results;
-//   - loads are unaligned; tails use maskload/maskstore (AVX2) or drop to
-//     per-lane code at a position fixed by the count (SSE2) — no reads past
+//   - loads are unaligned; tails use maskload/maskstore (the gather drops to
+//     per-record copies at a position fixed by the count) — no reads past
 //     the column vectors (the libstdc++ ASan container annotations would
 //     flag them).
 // Numeric deltas vs the scalar reference come only from FMA contraction,
@@ -26,7 +26,6 @@
 #include "gs/sh.hpp"
 
 #define SGS_AVX2 __attribute__((target("avx2,fma")))
-#define SGS_SSE2 __attribute__((target("sse2")))
 
 namespace sgs::gs::detail {
 
@@ -108,36 +107,6 @@ SGS_AVX2 inline __m256 exp256_ps(__m256 x) {
   n = _mm256_add_epi32(n, _mm256_set1_epi32(0x7f));
   n = _mm256_slli_epi32(n, 23);
   return _mm256_mul_ps(y, _mm256_castsi256_ps(n));
-}
-
-// 4-wide variant of the same polynomial for the SSE2 blender.
-SGS_SSE2 inline __m128 exp128_ps(__m128 x) {
-  const __m128 kLog2e = _mm_set1_ps(1.44269504088896341f);
-  const __m128 kLn2Hi = _mm_set1_ps(0.693359375f);
-  const __m128 kLn2Lo = _mm_set1_ps(-2.12194440e-4f);
-  x = _mm_max_ps(x, _mm_set1_ps(-87.336544f));
-  x = _mm_min_ps(x, _mm_set1_ps(88.3762626647949f));
-  // cvtps_epi32 rounds to nearest (MXCSR default), giving round(x * log2e).
-  const __m128i n = _mm_cvtps_epi32(_mm_mul_ps(x, kLog2e));
-  const __m128 fx = _mm_cvtepi32_ps(n);
-  x = _mm_sub_ps(x, _mm_mul_ps(fx, kLn2Hi));
-  x = _mm_sub_ps(x, _mm_mul_ps(fx, kLn2Lo));
-  const __m128 z = _mm_mul_ps(x, x);
-  __m128 y = _mm_set1_ps(1.9875691500e-4f);
-  y = _mm_add_ps(_mm_mul_ps(y, x), _mm_set1_ps(1.3981999507e-3f));
-  y = _mm_add_ps(_mm_mul_ps(y, x), _mm_set1_ps(8.3334519073e-3f));
-  y = _mm_add_ps(_mm_mul_ps(y, x), _mm_set1_ps(4.1665795894e-2f));
-  y = _mm_add_ps(_mm_mul_ps(y, x), _mm_set1_ps(1.6666665459e-1f));
-  y = _mm_add_ps(_mm_mul_ps(y, x), _mm_set1_ps(5.0000001201e-1f));
-  y = _mm_add_ps(_mm_mul_ps(y, z), x);
-  y = _mm_add_ps(y, _mm_set1_ps(1.0f));
-  __m128i e = _mm_add_epi32(n, _mm_set1_epi32(0x7f));
-  e = _mm_slli_epi32(e, 23);
-  return _mm_mul_ps(y, _mm_castsi128_ps(e));
-}
-
-SGS_SSE2 inline __m128 select128(__m128 mask, __m128 a, __m128 b) {
-  return _mm_or_ps(_mm_and_ps(mask, a), _mm_andnot_ps(mask, b));
 }
 
 // View-dependent color of one record: scalar basis, vector coefficient
@@ -259,109 +228,6 @@ void coarse_filter_batch_avx2(const GaussianColumns& cols, std::size_t first,
                               const FilterRect& rect,
                               std::vector<std::uint32_t>& out_idx) {
   coarse_filter_avx2_impl(cols, first, count, cam, rect, out_idx);
-}
-
-SGS_SSE2 void coarse_filter_sse2_impl(const GaussianColumns& cols,
-                                      std::size_t first, std::size_t count,
-                                      const Camera& cam,
-                                      const FilterRect& rect,
-                                      std::vector<std::uint32_t>& out_idx) {
-  const float* px = cols.px.data() + first;
-  const float* py = cols.py.data() + first;
-  const float* pz = cols.pz.data() + first;
-  const float* ms = cols.max_scale.data() + first;
-  const Mat3f& rot = cam.rotation();
-  const Vec3f cp = cam.position();
-  const __m128 w00 = _mm_set1_ps(rot(0, 0)), w01 = _mm_set1_ps(rot(0, 1)),
-               w02 = _mm_set1_ps(rot(0, 2));
-  const __m128 w10 = _mm_set1_ps(rot(1, 0)), w11 = _mm_set1_ps(rot(1, 1)),
-               w12 = _mm_set1_ps(rot(1, 2));
-  const __m128 w20 = _mm_set1_ps(rot(2, 0)), w21 = _mm_set1_ps(rot(2, 1)),
-               w22 = _mm_set1_ps(rot(2, 2));
-  const __m128 cpx = _mm_set1_ps(cp.x), cpy = _mm_set1_ps(cp.y),
-               cpz = _mm_set1_ps(cp.z);
-  const __m128 vfx = _mm_set1_ps(cam.fx()), vfy = _mm_set1_ps(cam.fy());
-  const __m128 vcx = _mm_set1_ps(cam.cx()), vcy = _mm_set1_ps(cam.cy());
-  const __m128 near_clip = _mm_set1_ps(kNearClip);
-  const __m128 dilation = _mm_set1_ps(kScreenSpaceDilation);
-  const __m128 one = _mm_set1_ps(1.0f), half = _mm_set1_ps(0.5f);
-  const __m128 three = _mm_set1_ps(3.0f), zero = _mm_setzero_ps();
-  const __m128 rx0 = _mm_set1_ps(rect.x0), ry0 = _mm_set1_ps(rect.y0);
-  const __m128 rx1 = _mm_set1_ps(rect.x1), ry1 = _mm_set1_ps(rect.y1);
-
-  const std::size_t vec_count = count & ~static_cast<std::size_t>(3);
-  for (std::size_t i = 0; i < vec_count; i += 4) {
-    const __m128 x = _mm_loadu_ps(px + i);
-    const __m128 y = _mm_loadu_ps(py + i);
-    const __m128 z = _mm_loadu_ps(pz + i);
-    const __m128 dx = _mm_sub_ps(x, cpx);
-    const __m128 dy = _mm_sub_ps(y, cpy);
-    const __m128 dz = _mm_sub_ps(z, cpz);
-    const __m128 xc = _mm_add_ps(
-        _mm_add_ps(_mm_mul_ps(w00, dx), _mm_mul_ps(w01, dy)),
-        _mm_mul_ps(w02, dz));
-    const __m128 yc = _mm_add_ps(
-        _mm_add_ps(_mm_mul_ps(w10, dx), _mm_mul_ps(w11, dy)),
-        _mm_mul_ps(w12, dz));
-    const __m128 zc = _mm_add_ps(
-        _mm_add_ps(_mm_mul_ps(w20, dx), _mm_mul_ps(w21, dy)),
-        _mm_mul_ps(w22, dz));
-    __m128 keep = _mm_cmpgt_ps(zc, near_clip);
-    const __m128 inv_z = _mm_div_ps(one, zc);
-    const __m128 xz = _mm_mul_ps(xc, inv_z);
-    const __m128 yz = _mm_mul_ps(yc, inv_z);
-    const __m128 fxz = _mm_mul_ps(vfx, inv_z);
-    const __m128 fyz = _mm_mul_ps(vfy, inv_z);
-    const __m128 a = _mm_mul_ps(_mm_mul_ps(fxz, fxz),
-                                _mm_add_ps(one, _mm_mul_ps(xz, xz)));
-    const __m128 c = _mm_mul_ps(_mm_mul_ps(fyz, fyz),
-                                _mm_add_ps(one, _mm_mul_ps(yz, yz)));
-    const __m128 b = _mm_mul_ps(_mm_mul_ps(fxz, fyz), _mm_mul_ps(xz, yz));
-    const __m128 mid = _mm_mul_ps(half, _mm_add_ps(a, c));
-    const __m128 disc = _mm_mul_ps(half, _mm_sub_ps(a, c));
-    const __m128 jj = _mm_add_ps(
-        mid,
-        _mm_sqrt_ps(_mm_add_ps(_mm_mul_ps(disc, disc), _mm_mul_ps(b, b))));
-    const __m128 s = _mm_loadu_ps(ms + i);
-    const __m128 bound =
-        _mm_add_ps(_mm_mul_ps(_mm_mul_ps(s, s), jj), dilation);
-    const __m128 radius = _mm_mul_ps(three, _mm_sqrt_ps(bound));
-    const __m128 mx = _mm_add_ps(_mm_mul_ps(vfx, xz), vcx);
-    const __m128 my = _mm_add_ps(_mm_mul_ps(vfy, yz), vcy);
-    const __m128 ddx = _mm_max_ps(
-        zero, _mm_max_ps(_mm_sub_ps(rx0, mx), _mm_sub_ps(mx, rx1)));
-    const __m128 ddy = _mm_max_ps(
-        zero, _mm_max_ps(_mm_sub_ps(ry0, my), _mm_sub_ps(my, ry1)));
-    const __m128 d2 =
-        _mm_add_ps(_mm_mul_ps(ddx, ddx), _mm_mul_ps(ddy, ddy));
-    keep = _mm_and_ps(keep,
-                      _mm_cmple_ps(d2, _mm_mul_ps(radius, radius)));
-    unsigned m = static_cast<unsigned>(_mm_movemask_ps(keep));
-    while (m != 0) {
-      const unsigned j = static_cast<unsigned>(__builtin_ctz(m));
-      out_idx.push_back(static_cast<std::uint32_t>(i + j));
-      m &= m - 1;
-    }
-  }
-  // Tail at a position fixed by `count` (never by alignment): scalar math.
-  for (std::size_t i = vec_count; i < count; ++i) {
-    const std::size_t k = first + i;
-    const auto proj = project_coarse({cols.px[k], cols.py[k], cols.pz[k]},
-                                     cols.max_scale[k], cam);
-    if (!proj) continue;
-    if (!disc_intersects_rect(proj->mean, proj->radius, rect.x0, rect.y0,
-                              rect.x1, rect.y1)) {
-      continue;
-    }
-    out_idx.push_back(static_cast<std::uint32_t>(i));
-  }
-}
-
-void coarse_filter_batch_sse2(const GaussianColumns& cols, std::size_t first,
-                              std::size_t count, const Camera& cam,
-                              const FilterRect& rect,
-                              std::vector<std::uint32_t>& out_idx) {
-  coarse_filter_sse2_impl(cols, first, count, cam, rect, out_idx);
 }
 
 // ---------------------------------------------------------- fine projection
@@ -605,24 +471,6 @@ void fine_project_batch_avx2(const GaussianColumns& cols, std::size_t first,
   fine_project_avx2_impl(cols, first, candidates, cam, rect, out);
 }
 
-// ------------------------------------------------------------------ SH eval
-
-SGS_AVX2 void eval_sh_avx2_impl(const GaussianColumns& cols, std::size_t first,
-                                std::span<const std::uint32_t> locals,
-                                Vec3f cam_pos, Vec3f* out_colors) {
-  for (std::size_t j = 0; j < locals.size(); ++j) {
-    const std::size_t k = first + locals[j];
-    out_colors[j] = eval_sh_record_avx2(
-        cols, k, Vec3f{cols.px[k], cols.py[k], cols.pz[k]} - cam_pos);
-  }
-}
-
-void eval_sh_batch_avx2(const GaussianColumns& cols, std::size_t first,
-                        std::span<const std::uint32_t> locals, Vec3f cam_pos,
-                        Vec3f* out_colors) {
-  eval_sh_avx2_impl(cols, first, locals, cam_pos, out_colors);
-}
-
 // -------------------------------------------------------------- alpha blend
 
 SGS_AVX2 BlendCounters blend_avx2_impl(BlendPlanes& planes,
@@ -732,125 +580,6 @@ BlendCounters blend_survivor_avx2(BlendPlanes& planes,
                                   const PixelSpan& span, int px0, int py0,
                                   int row_w) {
   return blend_avx2_impl(planes, max_depth, proj, span, px0, py0, row_w);
-}
-
-SGS_SSE2 BlendCounters blend_sse2_impl(BlendPlanes& planes,
-                                       std::vector<float>& max_depth,
-                                       const ProjectedGaussian& g,
-                                       const PixelSpan& span, int px0, int py0,
-                                       int row_w) {
-  BlendCounters out;
-  const __m128 conic_a = _mm_set1_ps(g.conic.a);
-  const __m128 vop = _mm_set1_ps(g.opacity);
-  const __m128 vdepth = _mm_set1_ps(g.depth);
-  const __m128 col_r = _mm_set1_ps(g.color.x);
-  const __m128 col_g = _mm_set1_ps(g.color.y);
-  const __m128 col_b = _mm_set1_ps(g.color.z);
-  const __m128 cutoff = _mm_set1_ps(kTransmittanceCutoff);
-  const __m128 min_alpha = _mm_set1_ps(kMinBlendAlpha);
-  const __m128 alpha_clamp = _mm_set1_ps(kAlphaClamp);
-  const __m128 depth_eps = _mm_set1_ps(1e-6f);
-  const __m128 half = _mm_set1_ps(0.5f);
-  const __m128 one = _mm_set1_ps(1.0f);
-  const __m128 zero = _mm_setzero_ps();
-  const __m128 lane_ramp = _mm_setr_ps(0.0f, 1.0f, 2.0f, 3.0f);
-
-  const int n = span.x1 - span.x0;
-  const int n4 = n & ~3;
-  for (int py = span.y0; py < span.y1; ++py) {
-    const float fdy = static_cast<float>(py) + 0.5f - g.mean.y;
-    const __m128 dy2c = _mm_set1_ps(g.conic.c * fdy * fdy);
-    const __m128 bdy = _mm_set1_ps(2.0f * g.conic.b * fdy);
-    const std::size_t base =
-        static_cast<std::size_t>((py - py0) * row_w + (span.x0 - px0));
-    float* trow = planes.t.data() + base;
-    float* rrow = planes.r.data() + base;
-    float* grow = planes.g.data() + base;
-    float* brow = planes.b.data() + base;
-    float* mdrow = max_depth.data() + base;
-    const float dx0 = static_cast<float>(span.x0) + 0.5f - g.mean.x;
-    for (int i = 0; i < n4; i += 4) {
-      const __m128 t = _mm_loadu_ps(trow + i);
-      const __m128 examined = _mm_cmpge_ps(t, cutoff);
-      const int em = _mm_movemask_ps(examined);
-      out.blend_ops += static_cast<std::uint64_t>(
-          __builtin_popcount(static_cast<unsigned>(em)));
-      if (em == 0) continue;
-      const __m128 dx =
-          _mm_add_ps(_mm_set1_ps(dx0 + static_cast<float>(i)), lane_ramp);
-      const __m128 q = _mm_add_ps(
-          _mm_mul_ps(_mm_mul_ps(conic_a, dx), dx),
-          _mm_add_ps(_mm_mul_ps(bdy, dx), dy2c));
-      const __m128 power = _mm_mul_ps(half, q);
-      const __m128 pos_ok = _mm_cmpge_ps(power, zero);
-      __m128 alpha = _mm_mul_ps(vop, exp128_ps(_mm_sub_ps(zero, power)));
-      const __m128 alpha_ok = _mm_cmpge_ps(alpha, min_alpha);
-      alpha = _mm_min_ps(alpha, alpha_clamp);
-      const __m128 active =
-          _mm_and_ps(examined, _mm_and_ps(pos_ok, alpha_ok));
-      const int am = _mm_movemask_ps(active);
-      if (am == 0) continue;
-      out.contributions += static_cast<std::uint64_t>(
-          __builtin_popcount(static_cast<unsigned>(am)));
-      out.contributed = true;
-      __m128 md = _mm_loadu_ps(mdrow + i);
-      const __m128 viol = _mm_and_ps(
-          active, _mm_cmplt_ps(vdepth, _mm_sub_ps(md, depth_eps)));
-      const int vm = _mm_movemask_ps(viol);
-      if (vm != 0) {
-        out.violations += static_cast<std::uint64_t>(
-            __builtin_popcount(static_cast<unsigned>(vm)));
-        out.violated = true;
-      }
-      md = select128(_mm_andnot_ps(viol, active), vdepth, md);
-      _mm_storeu_ps(mdrow + i, md);
-      const __m128 w = _mm_and_ps(_mm_mul_ps(t, alpha), active);
-      _mm_storeu_ps(rrow + i,
-                    _mm_add_ps(_mm_loadu_ps(rrow + i), _mm_mul_ps(w, col_r)));
-      _mm_storeu_ps(grow + i,
-                    _mm_add_ps(_mm_loadu_ps(grow + i), _mm_mul_ps(w, col_g)));
-      _mm_storeu_ps(brow + i,
-                    _mm_add_ps(_mm_loadu_ps(brow + i), _mm_mul_ps(w, col_b)));
-      const __m128 t_next =
-          select128(active, _mm_mul_ps(t, _mm_sub_ps(one, alpha)), t);
-      out.newly_saturated += static_cast<std::uint32_t>(
-          __builtin_popcount(static_cast<unsigned>(_mm_movemask_ps(
-              _mm_and_ps(active, _mm_cmplt_ps(t_next, cutoff))))));
-      _mm_storeu_ps(trow + i, t_next);
-    }
-    // Per-pixel tail at a position fixed by the span width.
-    for (int i = n4; i < n; ++i) {
-      if (trow[i] < kTransmittanceCutoff) continue;
-      ++out.blend_ops;
-      const int px = span.x0 + i;
-      const float alpha = gaussian_alpha(
-          g, {static_cast<float>(px) + 0.5f, static_cast<float>(py) + 0.5f});
-      if (alpha <= 0.0f) continue;
-      out.contributed = true;
-      ++out.contributions;
-      if (g.depth < mdrow[i] - 1e-6f) {
-        ++out.violations;
-        out.violated = true;
-      } else {
-        mdrow[i] = g.depth;
-      }
-      const float w = trow[i] * alpha;
-      rrow[i] += w * g.color.x;
-      grow[i] += w * g.color.y;
-      brow[i] += w * g.color.z;
-      trow[i] *= (1.0f - alpha);
-      if (trow[i] < kTransmittanceCutoff) ++out.newly_saturated;
-    }
-  }
-  return out;
-}
-
-BlendCounters blend_survivor_sse2(BlendPlanes& planes,
-                                  std::vector<float>& max_depth,
-                                  const ProjectedGaussian& proj,
-                                  const PixelSpan& span, int px0, int py0,
-                                  int row_w) {
-  return blend_sse2_impl(planes, max_depth, proj, span, px0, py0, row_w);
 }
 
 // ------------------------------------------------------- VQ codebook gather

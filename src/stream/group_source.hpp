@@ -67,14 +67,6 @@ struct FrameIntent {
   // renderer's reuse envelope). Zero means single-frame rendering.
   float motion_translation = 0.0f;
   float motion_rotation_rad = 0.0f;
-  // Per-frame demand-fetch budget, RELATIVE nanoseconds from begin_frame
-  // (the frame's deadline on core::stage_clock_ns is begin_frame + this).
-  // kNoFetchDeadline keeps demand misses blocking; 0 expires immediately,
-  // so every miss of a floor-backed group serves the coarse tier — the
-  // deterministic zero-stall setting. StreamingLoader falls back to its
-  // queue's PrefetchConfig::fetch_deadline_ns when the intent carries the
-  // sentinel.
-  std::uint64_t fetch_deadline_ns = kNoFetchDeadline;
 };
 
 class GroupSource {

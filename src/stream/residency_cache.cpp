@@ -439,10 +439,13 @@ void ResidencyCache::sync_evictable_locked(voxel::DenseVoxelId v) {
   const bool want =
       e.resident && e.pins == 0 && e.plan_pins == 0 && !e.loading;
   if (want == e.evictable) return;
-  if (want) {
-    evictable_.emplace(e.touch, v);
+  if (!want) {
+    e.node = evictable_.extract({e.touch, v});
+  } else if (e.node) {
+    e.node.value() = {e.touch, v};
+    evictable_.insert(std::move(e.node));
   } else {
-    evictable_.erase({e.touch, v});
+    evictable_.emplace(e.touch, v);
   }
   e.evictable = want;
 }
@@ -451,8 +454,8 @@ void ResidencyCache::evict_over_budget_locked() {
   const std::uint64_t budget = budget_bytes_.load(std::memory_order_relaxed);
   while (resident_bytes_ > budget && !evictable_.empty()) {
     const voxel::DenseVoxelId v = evictable_.begin()->second;
-    evictable_.erase(evictable_.begin());
     Entry& e = entries_[static_cast<std::size_t>(v)];
+    e.node = evictable_.extract(evictable_.begin());
     e.evictable = false;
     resident_bytes_ -= e.group.resident_bytes();
     e.group = DecodedGroup{};  // frees the decoded buffers

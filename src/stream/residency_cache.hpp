@@ -344,6 +344,9 @@ class ResidencyCache final {
   void record_coarse_fallback();
 
  private:
+  // Resident, unprotected groups keyed (touch, group): oldest touch first.
+  using EvictableSet = std::set<std::pair<std::uint64_t, voxel::DenseVoxelId>>;
+
   struct Entry {
     DecodedGroup group;
     int tier = 0;       // fidelity of the resident payload (valid when
@@ -356,6 +359,10 @@ class ResidencyCache final {
     bool resident = false;
     bool evictable = false;  // in evictable_, keyed (touch, group)
     std::uint64_t touch = 0;  // last-touch stamp (valid when resident)
+    // The group's evictable_ node while it is out of the set: a pin or an
+    // eviction extracts it and the next join reinserts it, so the per-frame
+    // pin_plan / unpin_plan churn allocates nothing.
+    EvictableSet::node_type node;
     // Failure state, PER TIER (disk errors are tier-scoped: a corrupt L0
     // payload must not poison the group's healthy L1/L2): consecutive
     // failed fetch attempts, the denied-request countdown until the next
@@ -403,8 +410,7 @@ class ResidencyCache final {
   mutable std::mutex mutex_;
   std::condition_variable cv_;  // signals fetch completion and pin drains
   std::vector<Entry> entries_;  // indexed by dense voxel id
-  // Resident, unprotected groups, oldest touch first.
-  std::set<std::pair<std::uint64_t, voxel::DenseVoxelId>> evictable_;
+  EvictableSet evictable_;
   std::uint64_t touch_clock_ = 0;
   std::uint64_t resident_bytes_ = 0;
   core::StreamCacheStats stats_;

@@ -303,10 +303,8 @@ void StreamingLoader::begin_frame(
   selection_ = select_frame_tiers(cache_->store(), intent, pinned_, lod);
   counters_.record_abr_demotions(selection_.abr_demoted);
   // Resolve this frame's demand-fetch deadline to an absolute stage-clock
-  // instant. The intent's budget wins over the queue config's default.
-  const std::uint64_t rel = intent.fetch_deadline_ns != kNoFetchDeadline
-                                ? intent.fetch_deadline_ns
-                                : queue_->config().fetch_deadline_ns;
+  // instant.
+  const std::uint64_t rel = queue_->config().fetch_deadline_ns;
   frame_deadline_ns_ =
       rel == kNoFetchDeadline ? kNoFetchDeadline : core::stage_clock_ns() + rel;
   {

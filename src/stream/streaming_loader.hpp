@@ -84,7 +84,6 @@ struct PrefetchConfig {
   // begin_frame. kNoFetchDeadline keeps demand misses blocking (the
   // bit-exact pre-floor behavior); 0 expires instantly, so every miss of a
   // floor-backed group serves the coarse tier — deterministic zero-stall.
-  // An intent carrying its own fetch_deadline_ns overrides this.
   std::uint64_t fetch_deadline_ns = kNoFetchDeadline;
   // Tier selection for plan groups and prefetch candidates. The defaults
   // adapt on multi-tier stores and degenerate to L0 on v1 stores;

@@ -1995,14 +1995,13 @@ TEST(OutOfCoreGolden, GenerousDeadlineStaysBitIdentical) {
   PrefetchConfig pcfg;
   pcfg.synchronous = true;
   pcfg.lod.force_tier0 = true;
-  StreamingLoader loader(cache, pcfg);
-  const auto scene_ooc = store.make_scene();
-  core::SequenceOptions seq;
   // A whole-frame budget no test-machine fetch can miss: the deadline
   // machinery is armed on every acquire, yet no fallback ever fires — and
   // the output must be bit-for-bit the blocking path's.
-  seq.fetch_deadline_ns = 60ull * 1000 * 1000 * 1000;
-  const auto ooc = core::render_sequence(scene_ooc, cameras, seq, &loader);
+  pcfg.fetch_deadline_ns = 60ull * 1000 * 1000 * 1000;
+  StreamingLoader loader(cache, pcfg);
+  const auto scene_ooc = store.make_scene();
+  const auto ooc = core::render_sequence(scene_ooc, cameras, {}, &loader);
 
   core::StreamCacheStats total;
   for (std::size_t f = 0; f < cameras.size(); ++f) {

@@ -82,7 +82,7 @@ check_contract "SIMD dispatch contract" src/common/simd.hpp \
 check_contract "SoA layout contract" src/gs/gaussian_soa.hpp \
   GaussianColumns
 check_contract "SoA kernel contract" src/gs/kernels.hpp \
-  coarse_filter_batch fine_project_batch eval_sh_batch blend_survivor \
+  coarse_filter_batch fine_project_batch blend_survivor \
   gather_codebook_column kSimdAbsTolerance
 
 # 8. Observability: the metrics sink every subsystem publishes through and
