@@ -537,8 +537,8 @@ bool emit_kernels_json(const std::string& out_path) {
        << "  \"coarse_aos_ms\": " << aos_ms << ",\n"
        << "  \"coarse_scalar_ms\": " << coarse_scalar_ms << ",\n"
        << "  \"coarse_simd_ms\": " << coarse_simd_ms << ",\n"
-       << "  \"coarse_soa_vs_aos_speedup\": " << speedup(aos_ms, coarse_simd_ms)
-       << ",\n"
+       << "  \"coarse_soa_vs_aos_speedup\": "
+       << speedup(aos_ms, coarse_scalar_ms) << ",\n"
        << "  \"coarse_simd_speedup\": "
        << speedup(coarse_scalar_ms, coarse_simd_ms) << ",\n"
        << "  \"fine_scalar_ms\": " << fine_scalar_ms << ",\n"

@@ -66,7 +66,6 @@
 #include "core/render_sequence.hpp"
 #include "core/streaming_renderer.hpp"
 #include "metrics/psnr.hpp"
-#include "obs/metrics.hpp"
 #include "obs/publish.hpp"
 #include "obs/trace.hpp"
 #include "render/tile_renderer.hpp"
@@ -357,14 +356,12 @@ int main(int argc, char** argv) {
     }
 
     if (!trace_path.empty()) {
-      // Publish this frame's counters through the registry (the single
-      // metrics sink) and append one JSONL snapshot line per frame.
-      obs::publish_stage_timings(streamed.trace.total_stage_ns());
-      obs::publish_cache_stats(streamed.trace.cache);
-      obs::publish_parallel_stats();
-      obs::write_metrics_jsonl_line(metrics_jsonl,
-                                    obs::MetricsRegistry::global().snapshot(),
-                                    static_cast<std::uint64_t>(f));
+      // One JSONL metrics line per frame: this frame's stage and cache
+      // counters plus the pool / async-lane totals.
+      obs::write_frame_metrics_jsonl(metrics_jsonl,
+                                     static_cast<std::uint64_t>(f),
+                                     streamed.trace.total_stage_ns(),
+                                     streamed.trace.cache);
     }
   }
 

@@ -61,8 +61,8 @@ void parallel_for_workers(
 // queued behind other jobs for the pool's FIFO ticket before their own job
 // started. With N sessions multiplexed over the pool, wait/jobs is the
 // average cross-session scheduling cost per frame task — the number a
-// serve operator watches to see the pool seam, published as
-// pool.jobs_completed / pool.submit_wait_ns by obs::publish_parallel_stats.
+// serve operator watches to see the pool seam, written as
+// pool.jobs_completed / pool.submit_wait_ns by obs::write_frame_metrics_jsonl.
 std::uint64_t pool_jobs_completed();
 std::uint64_t pool_submit_wait_ns();
 

@@ -156,8 +156,8 @@ struct StreamCacheStats {
 // ---- Counter schema ---------------------------------------------------------
 // Each counter above is declared once more, as a table row, in declaration
 // order (also its SGST order, core/trace_io.hpp). Arithmetic, trace I/O,
-// metric publishing (obs/publish.hpp) and the simulator's software stage
-// map iterate the tables; none of them names a field.
+// the per-frame metrics line (obs/publish.hpp) and the simulator's software
+// stage map iterate the tables; none of them names a field.
 
 // Where the work trace records a counter: once per frame, or once per
 // pixel group (GroupWork::timing_ns).

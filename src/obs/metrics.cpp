@@ -2,13 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
-#include <stdexcept>
-#include <utility>
 
 namespace sgs::obs {
-
-// --------------------------------------------------------------- histogram --
 
 std::uint64_t LogHistogram::percentile(double q) const {
   if (count_ == 0) return 0;
@@ -25,251 +20,6 @@ std::uint64_t LogHistogram::percentile(double q) const {
     }
   }
   return max_;
-}
-
-// ---------------------------------------------------------------- registry --
-
-namespace {
-
-void atomic_store_min(std::atomic<std::uint64_t>& slot, std::uint64_t v) {
-  std::uint64_t cur = slot.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_store_max(std::atomic<std::uint64_t>& slot, std::uint64_t v) {
-  std::uint64_t cur = slot.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-std::uint64_t next_registry_epoch() {
-  static std::atomic<std::uint64_t> epoch{1};
-  return epoch.fetch_add(1, std::memory_order_relaxed);
-}
-
-MetricId register_name(std::vector<std::string>& names,
-                       const std::string& name, std::size_t cap,
-                       const char* kind) {
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return static_cast<MetricId>(i);
-  }
-  if (names.size() >= cap) {
-    throw std::length_error(std::string("MetricsRegistry: too many ") + kind +
-                            " metrics");
-  }
-  names.push_back(name);
-  return static_cast<MetricId>(names.size() - 1);
-}
-
-}  // namespace
-
-// Per-histogram shard cells, allocated lazily the first time a thread
-// observes that histogram (a full array per shard would be ~250 KiB).
-struct MetricsRegistry::ShardHistogram {
-  std::array<std::atomic<std::uint64_t>, LogHistogram::kBucketCount>
-      buckets{};
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<std::uint64_t> min{std::numeric_limits<std::uint64_t>::max()};
-  std::atomic<std::uint64_t> max{0};
-
-  void observe(std::uint64_t v) {
-    buckets[static_cast<std::size_t>(LogHistogram::bucket_index(v))]
-        .fetch_add(1, std::memory_order_relaxed);
-    count.fetch_add(1, std::memory_order_relaxed);
-    sum.fetch_add(v, std::memory_order_relaxed);
-    atomic_store_min(min, v);
-    atomic_store_max(max, v);
-  }
-
-  void reset() {
-    for (auto& b : buckets) b.store(0, std::memory_order_relaxed);
-    count.store(0, std::memory_order_relaxed);
-    sum.store(0, std::memory_order_relaxed);
-    min.store(std::numeric_limits<std::uint64_t>::max(),
-              std::memory_order_relaxed);
-    max.store(0, std::memory_order_relaxed);
-  }
-};
-
-struct MetricsRegistry::Shard {
-  std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
-  std::array<std::atomic<ShardHistogram*>, kMaxHistograms> hists{};
-  std::vector<std::unique_ptr<ShardHistogram>> hist_storage;  // under mutex_
-};
-
-MetricsRegistry::MetricsRegistry() : epoch_(next_registry_epoch()) {}
-MetricsRegistry::~MetricsRegistry() = default;
-
-MetricsRegistry& MetricsRegistry::global() {
-  // Leaked on purpose: worker threads (pool helpers, the async lane) may
-  // still publish during static destruction.
-  static MetricsRegistry* g = new MetricsRegistry();
-  return *g;
-}
-
-MetricId MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return register_name(counter_names_, name, kMaxCounters, "counter");
-}
-
-MetricId MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return register_name(gauge_names_, name, kMaxGauges, "gauge");
-}
-
-MetricId MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return register_name(histogram_names_, name, kMaxHistograms, "histogram");
-}
-
-MetricsRegistry::Shard& MetricsRegistry::local_shard() {
-  // Cache keyed by (registry, epoch): a destroyed registry's address may be
-  // reused by a new one, and the epoch check keeps that new registry from
-  // inheriting a dangling shard pointer.
-  struct CacheEntry {
-    const MetricsRegistry* registry;
-    std::uint64_t epoch;
-    Shard* shard;
-  };
-  thread_local std::vector<CacheEntry> t_cache;
-  for (const CacheEntry& e : t_cache) {
-    if (e.registry == this && e.epoch == epoch_) return *e.shard;
-  }
-  std::lock_guard<std::mutex> lk(mutex_);
-  shards_.push_back(std::make_unique<Shard>());
-  Shard* shard = shards_.back().get();
-  t_cache.push_back({this, epoch_, shard});
-  return *shard;
-}
-
-void MetricsRegistry::add(MetricId counter_id, std::uint64_t delta) {
-  local_shard()
-      .counters[static_cast<std::size_t>(counter_id)]
-      .fetch_add(delta, std::memory_order_relaxed);
-}
-
-void MetricsRegistry::set(MetricId gauge_id, std::uint64_t value) {
-  gauges_[static_cast<std::size_t>(gauge_id)].store(
-      value, std::memory_order_relaxed);
-}
-
-void MetricsRegistry::observe(MetricId histogram_id, std::uint64_t value) {
-  Shard& shard = local_shard();
-  auto& slot = shard.hists[static_cast<std::size_t>(histogram_id)];
-  ShardHistogram* cells = slot.load(std::memory_order_acquire);
-  if (cells == nullptr) {
-    // First observation of this histogram by this thread: allocate the
-    // cells under the registry mutex (cold) and publish them. The slot is
-    // only ever written by this shard's owning thread, so no CAS race.
-    std::lock_guard<std::mutex> lk(mutex_);
-    shard.hist_storage.push_back(std::make_unique<ShardHistogram>());
-    cells = shard.hist_storage.back().get();
-    slot.store(cells, std::memory_order_release);
-  }
-  cells->observe(value);
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot snap;
-  std::lock_guard<std::mutex> lk(mutex_);
-  snap.counters.resize(counter_names_.size());
-  for (std::size_t i = 0; i < counter_names_.size(); ++i) {
-    snap.counters[i].name = counter_names_[i];
-  }
-  snap.gauges.resize(gauge_names_.size());
-  for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
-    snap.gauges[i].name = gauge_names_[i];
-    snap.gauges[i].value = gauges_[i].load(std::memory_order_relaxed);
-  }
-  snap.histograms.resize(histogram_names_.size());
-  for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
-    snap.histograms[i].name = histogram_names_[i];
-  }
-  // Shards merge in creation order, metrics in id order — the deterministic
-  // merge the contract (and the tests) pin.
-  for (const auto& shard : shards_) {
-    for (std::size_t i = 0; i < snap.counters.size(); ++i) {
-      snap.counters[i].value +=
-          shard->counters[i].load(std::memory_order_relaxed);
-    }
-    for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-      const ShardHistogram* cells =
-          shard->hists[i].load(std::memory_order_acquire);
-      if (cells == nullptr) continue;
-      const std::uint64_t n = cells->count.load(std::memory_order_relaxed);
-      if (n == 0) continue;
-      LogHistogram& h = snap.histograms[i].hist;
-      for (int b = 0; b < LogHistogram::kBucketCount; ++b) {
-        h.add_bucket_count(b, cells->buckets[static_cast<std::size_t>(b)].load(
-                                  std::memory_order_relaxed));
-      }
-      h.add_aggregates(n, cells->sum.load(std::memory_order_relaxed),
-                       cells->min.load(std::memory_order_relaxed),
-                       cells->max.load(std::memory_order_relaxed));
-    }
-  }
-  return snap;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lk(mutex_);
-  for (auto& g : gauges_) g.store(0, std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    for (auto& c : shard->counters) c.store(0, std::memory_order_relaxed);
-    for (auto& h : shard->hist_storage) h->reset();
-  }
-}
-
-// ------------------------------------------------------------------- jsonl --
-
-namespace {
-
-void write_json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out << ' ';
-    } else {
-      out << c;
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
-
-void write_metrics_jsonl_line(std::ostream& out, const MetricsSnapshot& snap,
-                              std::uint64_t frame) {
-  out << "{\"frame\":" << frame << ",\"counters\":{";
-  for (std::size_t i = 0; i < snap.counters.size(); ++i) {
-    if (i > 0) out << ',';
-    write_json_string(out, snap.counters[i].name);
-    out << ':' << snap.counters[i].value;
-  }
-  out << "},\"gauges\":{";
-  for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-    if (i > 0) out << ',';
-    write_json_string(out, snap.gauges[i].name);
-    out << ':' << snap.gauges[i].value;
-  }
-  out << "},\"histograms\":{";
-  for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-    if (i > 0) out << ',';
-    const LogHistogram& h = snap.histograms[i].hist;
-    write_json_string(out, snap.histograms[i].name);
-    out << ":{\"count\":" << h.count() << ",\"sum\":" << h.sum()
-        << ",\"min\":" << h.min() << ",\"max\":" << h.max()
-        << ",\"p50\":" << h.percentile(0.50)
-        << ",\"p95\":" << h.percentile(0.95)
-        << ",\"p99\":" << h.percentile(0.99) << '}';
-  }
-  out << "}}\n";
 }
 
 }  // namespace sgs::obs

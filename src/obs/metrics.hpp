@@ -1,28 +1,12 @@
-// Low-overhead metrics registry: named counters, gauges, and log-scale
-// latency histograms behind per-thread shards.
-//
-// Hot-path updates (add/observe) touch only the calling thread's shard with
-// relaxed atomics — no locks, no cross-thread cache-line contention beyond
-// the shard lookup. Registration and snapshotting are the cold paths and
-// take the registry mutex. snapshot() merges shards in shard-creation
-// order and metrics in registration-id order, so a quiescent registry
-// serializes identically run after run (the determinism the tests pin).
-//
-// The registry is the single sink the rest of the system publishes its
-// existing counter structs through (StreamCacheStats, StageTimingsNs, the
-// async-lane counters, ServerReport) — see obs/publish.hpp.
+// Log-scale latency histogram: O(1) memory per series, mergeable, with a
+// bounded-error nearest-rank percentile. SessionReport / ServerReport keep
+// their frame and queue-wait latencies in it.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
 
 namespace sgs::obs {
 
@@ -32,7 +16,7 @@ namespace sgs::obs {
 // bits, so any reported quantile overstates its sample by at most
 // 2^-kPrecisionBits = 12.5% (and never understates it). ~500 buckets cover
 // the full u64 range; merging is bucket-wise addition, which is what makes
-// per-shard recording and deterministic aggregation cheap.
+// per-session recording and deterministic aggregation cheap.
 class LogHistogram {
  public:
   static constexpr int kPrecisionBits = 3;
@@ -76,8 +60,8 @@ class LogHistogram {
     max_ = o.max_ > max_ ? o.max_ : max_;
   }
 
-  // Splice externally-accumulated cells in (the registry merging a
-  // per-thread shard's atomic buckets into one plain histogram).
+  // Splice externally-accumulated cells in (e.g. a histogram recorded
+  // into atomic buckets, copied out into one plain histogram).
   void add_bucket_count(int b, std::uint64_t c) {
     buckets_[static_cast<std::size_t>(b)] += c;
   }
@@ -110,86 +94,5 @@ class LogHistogram {
   std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t max_ = 0;
 };
-
-using MetricId = std::uint32_t;
-
-// Merged, ordered view of a registry at one instant. Counters/gauges/
-// histograms appear in registration order under their registered names.
-struct MetricsSnapshot {
-  struct Counter {
-    std::string name;
-    std::uint64_t value = 0;
-  };
-  struct Gauge {
-    std::string name;
-    std::uint64_t value = 0;
-  };
-  struct Histogram {
-    std::string name;
-    LogHistogram hist;
-  };
-  std::vector<Counter> counters;
-  std::vector<Gauge> gauges;
-  std::vector<Histogram> histograms;
-};
-
-class MetricsRegistry {
- public:
-  // Fixed per-kind capacity keeps shards reallocation-free, which is what
-  // lets hot-path updates skip the registry lock entirely.
-  static constexpr std::size_t kMaxCounters = 256;
-  static constexpr std::size_t kMaxGauges = 256;
-  static constexpr std::size_t kMaxHistograms = 64;
-
-  MetricsRegistry();
-  ~MetricsRegistry();
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  // The process-wide registry every subsystem publishes through.
-  static MetricsRegistry& global();
-
-  // Register-or-look-up by name (cold path, takes the registry mutex).
-  // Re-registering an existing name returns its id. Throws
-  // std::length_error past the per-kind capacity.
-  MetricId counter(const std::string& name);
-  MetricId gauge(const std::string& name);
-  MetricId histogram(const std::string& name);
-
-  // Hot paths: relaxed atomics on this thread's shard, no locks.
-  void add(MetricId counter_id, std::uint64_t delta);
-  void observe(MetricId histogram_id, std::uint64_t value);
-  // Gauges are last-write-wins control-plane values; they live on the
-  // registry, not in shards.
-  void set(MetricId gauge_id, std::uint64_t value);
-
-  // Deterministic merge: shards in creation order, metrics in id order.
-  // Safe to call concurrently with updates (relaxed reads), but only a
-  // quiescent registry snapshots reproducibly.
-  MetricsSnapshot snapshot() const;
-
-  // Zero every value; names and ids survive. Callers must quiesce writers.
-  void reset();
-
- private:
-  struct Shard;
-  struct ShardHistogram;
-
-  Shard& local_shard();
-
-  const std::uint64_t epoch_;  // guards stale thread-local shard caches
-  mutable std::mutex mutex_;
-  std::vector<std::string> counter_names_;
-  std::vector<std::string> gauge_names_;
-  std::vector<std::string> histogram_names_;
-  std::array<std::atomic<std::uint64_t>, kMaxGauges> gauges_{};
-  std::vector<std::unique_ptr<Shard>> shards_;  // creation order
-};
-
-// One snapshot as one JSON object on one line (the JSONL metrics stream the
-// trace exporter writes per frame). `frame` tags the line; histograms are
-// emitted as {count,sum,min,max,p50,p95,p99}.
-void write_metrics_jsonl_line(std::ostream& out, const MetricsSnapshot& snap,
-                              std::uint64_t frame);
 
 }  // namespace sgs::obs

@@ -1,32 +1,28 @@
-// Bridges from the repo's existing counter structs into the metrics
-// registry: the registry is the single sink, these are the adapters the
-// renderer, cache, pool, and server publish through.
-//
-// All functions write cumulative values as gauges under a dotted prefix
-// ("cache.hits", "stage.filter_ns", ...) on MetricsRegistry::global().
-// They are cold-path (per frame / per report), so the name lookups take
-// the registry mutex; the ids are cached registry-side by name.
+// The per-frame metrics line `vr_walkthrough --trace` appends to its
+// `.metrics.jsonl`, written straight from the counter tables in
+// core/streaming_trace.hpp and the pool / async-lane counters. Every gauge
+// name is made here, so the naming rule lives in one place.
 #pragma once
 
-#include <string>
+#include <cstdint>
+#include <iosfwd>
 
 #include "core/streaming_trace.hpp"
 
 namespace sgs::obs {
 
-// StreamCacheStats -> one gauge per scalar kStreamCacheFields row, named
-// by the row ("cache.hits"); the per-tier rows are trace-only.
-void publish_cache_stats(const core::StreamCacheStats& stats,
-                         const std::string& prefix = "cache");
-
-// StageTimingsNs -> one gauge per kStageFields row, named by the row and
-// its unit ("stage.filter_ns").
-void publish_stage_timings(const core::StageTimingsNs& timings,
-                           const std::string& prefix = "stage");
-
-// Pool + async-lane counters -> gauges: pool.parallelism,
-// pool.jobs_completed, pool.submit_wait_ns, async.tasks_completed,
-// async.task_errors.
-void publish_parallel_stats();
+// One frame as one JSON object on one '\n'-terminated line:
+//   {"frame":N,"counters":{},"gauges":{...},"histograms":{}}
+// The gauges, in order:
+//   - stage.<name>_<unit>, one per kStageFields row: `stages`;
+//   - cache.<name>, one per scalar kStreamCacheFields row: `cache` (the
+//     per-tier rows are trace-only);
+//   - pool.parallelism, pool.jobs_completed, pool.submit_wait_ns,
+//     async.tasks_completed, async.task_errors: read from the pool and the
+//     async lane, cumulative since process start.
+// Identical inputs (and pool state) give identical bytes.
+void write_frame_metrics_jsonl(std::ostream& out, std::uint64_t frame,
+                               const core::StageTimingsNs& stages,
+                               const core::StreamCacheStats& cache);
 
 }  // namespace sgs::obs

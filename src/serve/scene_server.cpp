@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/parallel.hpp"
-#include "obs/publish.hpp"
 #include "obs/trace.hpp"
 
 namespace sgs::serve {
@@ -113,9 +112,7 @@ SceneServer::SceneServer(const stream::AssetStore& store,
 
 SceneServer::SceneServer(const std::vector<const stream::AssetStore*>& stores,
                          SceneServerConfig config)
-    : frame_ns_metric_(
-          obs::MetricsRegistry::global().histogram("serve.frame_ns")),
-      config_(std::move(config)),
+    : config_(std::move(config)),
       shards_(make_shards(stores, config_)),
       queue_(shard_caches(shards_), config_.prefetch),
       shard_last_accesses_(shards_.size(), 0),
@@ -220,8 +217,6 @@ core::StreamingRenderResult SceneServer::render_session_frame(
   s.frame_ns.record(result.frame_wall_ns);
   s.queue_wait.record(queue_wait_ns);
   s.queue_wait_ns += queue_wait_ns;
-  obs::MetricsRegistry::global().observe(frame_ns_metric_,
-                                         result.frame_wall_ns);
   if (result.trace.cache.misses > 0) ++s.stall_frames;
   if (result.trace.cache.coarse_fallbacks > 0) ++s.fallback_frames;
   if (result.trace.cache.fetch_errors > 0 ||
@@ -463,25 +458,6 @@ ServerReport SceneServer::report() const {
   rep.queue_wait_p50_ms = percentile_ms(rep.queue_wait, 0.50);
   rep.queue_wait_p95_ms = percentile_ms(rep.queue_wait, 0.95);
   rep.queue_wait_p99_ms = percentile_ms(rep.queue_wait, 0.99);
-
-  // Publish the fleet view through the registry — the single sink the
-  // other subsystems already report through (obs/publish.hpp).
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  reg.set(reg.gauge("serve.sessions"),
-          static_cast<std::uint64_t>(rep.sessions.size()));
-  reg.set(reg.gauge("serve.scenes"), static_cast<std::uint64_t>(rep.scenes));
-  reg.set(reg.gauge("serve.admission_rejects"), rep.admission_rejects);
-  reg.set(reg.gauge("serve.fairness_milli"),
-          static_cast<std::uint64_t>(rep.fairness_index * 1000.0));
-  reg.set(reg.gauge("serve.queue_wait_ns"), rep.queue_wait.sum());
-  reg.set(reg.gauge("serve.stall_frames"),
-          static_cast<std::uint64_t>(rep.stall_frames));
-  reg.set(reg.gauge("serve.fallback_frames"),
-          static_cast<std::uint64_t>(rep.fallback_frames));
-  reg.set(reg.gauge("serve.merged_prefetch_requests"),
-          rep.merged_prefetch_requests);
-  obs::publish_cache_stats(rep.shared_cache, "serve.cache");
-  obs::publish_parallel_stats();
   return rep;
 }
 

@@ -370,9 +370,6 @@ class SceneServer {
   void maybe_rebalance();
   void rebalance_shards();
 
-  // Registered once: render_frame() observes per-frame latency into the
-  // global metrics registry without a name lookup on the frame path.
-  obs::MetricId frame_ns_metric_;
   SceneServerConfig config_;
   std::vector<std::unique_ptr<SceneShard>> shards_;  // indexed by scene
   // Declared before sessions_: every session's loader schedules on this

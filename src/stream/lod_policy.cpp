@@ -34,8 +34,7 @@ std::uint64_t abr_frame_budget_bytes(const LodPolicy& policy) {
       policy.link_bandwidth_bytes_per_sec <= 0.0) {
     return 0;
   }
-  const double bytes = policy.link_bandwidth_bytes_per_sec *
-                       std::max(policy.abr_safety, 0.0) *
+  const double bytes = policy.link_bandwidth_bytes_per_sec * kAbrSafety *
                        static_cast<double>(policy.abr_frame_budget_ns) * 1e-9;
   // Clamp to >= 1 so an active term always constrains instead of rounding
   // down to "disabled".

@@ -21,7 +21,7 @@
 // front-end that owns a BandwidthEstimator copies its current estimate
 // into link_bandwidth_bytes_per_sec each frame before selection; with
 // abr_frame_budget_ns set, the frame's effective byte budget becomes
-// min(frame_fetch_budget_bytes, bandwidth * budget_ns * abr_safety) — the
+// min(frame_fetch_budget_bytes, bandwidth * budget_ns * kAbrSafety) — the
 // bytes the estimated link can actually move before the frame deadline.
 // Demotions the ABR term forces *beyond* what the static budget alone
 // would have are counted in TierSelection::abr_demoted. Selection stays a
@@ -73,9 +73,10 @@ struct LodPolicy {
   // Time the frame's fetch traffic must fit into (the frame's fetch
   // deadline, typically); 0 disables the ABR term entirely.
   std::uint64_t abr_frame_budget_ns = 0;
-  // Headroom fraction of the estimated link the budget may claim.
-  double abr_safety = 0.85;
 };
+
+// Headroom fraction of the estimated link the ABR budget may claim.
+inline constexpr double kAbrSafety = 0.85;
 
 // Bytes the estimated link can move within the policy's ABR window, or 0
 // when the term is inactive (disabled, or no estimate yet). Shared by

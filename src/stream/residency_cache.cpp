@@ -405,7 +405,7 @@ bool ResidencyCache::fetch_locked(std::unique_lock<std::mutex>& lk,
       const int shift = std::min<int>(e.fail_count[t] - 1, 16);
       e.backoff_remaining[t] = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(
-              config_.retry_backoff_cap,
+              kRetryBackoffCap,
               std::uint64_t{config_.retry_backoff_base} << shift));
       SGS_TRACE_INSTANT("cache", "retry", "group",
                         static_cast<std::uint64_t>(v), "tier",

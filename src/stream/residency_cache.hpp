@@ -107,6 +107,10 @@
 
 namespace sgs::stream {
 
+// Upper bound, in denied requests, on one retry back-off window (see
+// ResidencyCacheConfig::retry_backoff_base).
+inline constexpr std::uint32_t kRetryBackoffCap = 64;
+
 struct ResidencyCacheConfig {
   // Decoded-bytes budget. Groups beyond it are evicted LRU-first; pinned
   // groups are never evicted even when over budget.
@@ -116,11 +120,10 @@ struct ResidencyCacheConfig {
   // once); between failures, retries back off exponentially, measured in
   // *denied requests* (not wall time, so behavior stays deterministic per
   // request trace): after failure k the next retry_backoff_base << (k-1)
-  // fetch-wanting requests (capped at retry_backoff_cap) are served
+  // fetch-wanting requests (capped at kRetryBackoffCap) are served
   // degraded without touching the disk.
   int max_fetch_attempts = 3;
   std::uint32_t retry_backoff_base = 4;
-  std::uint32_t retry_backoff_cap = 64;
   // Always-resident coarse floor, a SEPARATE budget from budget_bytes
   // (decoded bytes, like the main budget — a few % of the scene is the
   // intended scale). 0 disables the floor. When > 0 and the store has a

@@ -17,9 +17,8 @@ std::vector<PrefetchRequest> rank_prefetch_groups(
   if (intent.camera == nullptr) return {};
   const AssetStore& store = cache.store();
   const gs::Camera& cam = *intent.camera;
-  const float lookahead = std::max(1.0f, config.lookahead_frames);
-  const float rot_env = intent.motion_rotation_rad * lookahead;
-  const float trans_env = intent.motion_translation * lookahead;
+  const float rot_env = intent.motion_rotation_rad * kPrefetchLookaheadFrames;
+  const float trans_env = intent.motion_translation * kPrefetchLookaheadFrames;
 
   struct Ranked {
     float depth;

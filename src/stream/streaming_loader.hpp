@@ -68,14 +68,15 @@ namespace sgs::stream {
 
 class SessionCacheStats;
 
+// The motion envelope is assumed to persist for this many frames: the
+// visibility pad grows with it, so the prefetcher looks further ahead along
+// the camera's drift than a single frame's reuse bound.
+inline constexpr float kPrefetchLookaheadFrames = 4.0f;
+
 struct PrefetchConfig {
   // Per-frame fetch-ahead caps (bandwidth budget per frame).
   std::size_t max_groups_per_frame = 64;
   std::uint64_t max_bytes_per_frame = 16ull << 20;
-  // The motion envelope is assumed to persist for this many frames: the
-  // visibility pad grows with it, so the prefetcher looks further ahead
-  // along the camera's drift than a single frame's reuse bound.
-  float lookahead_frames = 4.0f;
   // Fetch inline inside begin_frame/enqueue instead of on the async lane.
   // Slower (the fetch no longer overlaps rendering) but fully deterministic
   // — what the golden tests and reproducible benchmarks use.

@@ -53,47 +53,6 @@ Gaussian random_gaussian(std::mt19937& rng) {
   return g;
 }
 
-// The adversarial set the issue calls out, cycled to fill any group size.
-std::vector<Gaussian> adversarial_gaussians(std::size_t n) {
-  std::mt19937 rng(7);
-  std::vector<Gaussian> base;
-  {
-    Gaussian g = random_gaussian(rng);
-    g.scale = {1e-12f, 1e-12f, 1e-12f};  // near-zero scales
-    base.push_back(g);
-  }
-  {
-    Gaussian g = random_gaussian(rng);
-    g.opacity = 0.0f;  // culled by the min-opacity threshold
-    base.push_back(g);
-  }
-  {
-    Gaussian g = random_gaussian(rng);
-    g.opacity = 1.0f;  // saturates pixels fast
-    g.scale = {0.5f, 0.5f, 0.5f};
-    base.push_back(g);
-  }
-  {
-    Gaussian g = random_gaussian(rng);
-    g.rotation = Quatf{0.0f, 0.0f, 0.0f, 0.0f};  // degenerate quaternion
-    base.push_back(g);
-  }
-  {
-    Gaussian g = random_gaussian(rng);
-    g.position = {0.0f, 0.0f, -5.0f + 0.19f};  // right at the near plane
-    base.push_back(g);
-  }
-  {
-    Gaussian g = random_gaussian(rng);
-    g.opacity = 1.0f / 255.0f;  // exactly the opacity cull threshold
-    base.push_back(g);
-  }
-  std::vector<Gaussian> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(base[i % base.size()]);
-  return out;
-}
-
 GaussianColumns make_columns(const std::vector<Gaussian>& gs,
                              std::size_t pad_front = 0) {
   GaussianColumns cols;
@@ -238,6 +197,48 @@ TEST(ScalarKernels, BlendMatchesLegacyAccumulatorLoopBitExact) {
 // --------------------------------------------------- scalar-vs-SIMD property
 
 #ifdef SGS_KERNELS_X86
+
+// Adversarial Gaussians (near-zero scales, zero and threshold opacity,
+// degenerate rotations, near-plane depths), cycled to fill any group size.
+std::vector<Gaussian> adversarial_gaussians(std::size_t n) {
+  std::mt19937 rng(7);
+  std::vector<Gaussian> base;
+  {
+    Gaussian g = random_gaussian(rng);
+    g.scale = {1e-12f, 1e-12f, 1e-12f};  // near-zero scales
+    base.push_back(g);
+  }
+  {
+    Gaussian g = random_gaussian(rng);
+    g.opacity = 0.0f;  // culled by the min-opacity threshold
+    base.push_back(g);
+  }
+  {
+    Gaussian g = random_gaussian(rng);
+    g.opacity = 1.0f;  // saturates pixels fast
+    g.scale = {0.5f, 0.5f, 0.5f};
+    base.push_back(g);
+  }
+  {
+    Gaussian g = random_gaussian(rng);
+    g.rotation = Quatf{0.0f, 0.0f, 0.0f, 0.0f};  // degenerate quaternion
+    base.push_back(g);
+  }
+  {
+    Gaussian g = random_gaussian(rng);
+    g.position = {0.0f, 0.0f, -5.0f + 0.19f};  // right at the near plane
+    base.push_back(g);
+  }
+  {
+    Gaussian g = random_gaussian(rng);
+    g.opacity = 1.0f / 255.0f;  // exactly the opacity cull threshold
+    base.push_back(g);
+  }
+  std::vector<Gaussian> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(base[i % base.size()]);
+  return out;
+}
 
 // The vector-only cases skip with this reason, rather than pass having
 // compared nothing, on a host without AVX2+FMA or under SGS_FORCE_SCALAR.

@@ -1,5 +1,5 @@
-// Tests for the observability subsystem (src/obs/): the sharded metrics
-// registry, the log-scale latency histogram, span tracing through the real
+// Tests for the observability subsystem (src/obs/): the per-frame metrics
+// line, the log-scale latency histogram, span tracing through the real
 // pipeline, the Chrome Trace exporter + analyzer, and — the hard contract —
 // that enabling tracing changes no rendered pixel.
 #include <gtest/gtest.h>
@@ -150,93 +150,6 @@ TEST(LogHistogram, EmptyHistogramIsZero) {
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.min(), 0u);
   EXPECT_EQ(h.percentile(0.5), 0u);
-}
-
-// --------------------------------------------------------- MetricsRegistry --
-
-TEST(MetricsRegistry, CounterSumsExactAcrossPoolThreads) {
-  MetricsRegistry reg;
-  const MetricId c = reg.counter("work.items");
-  const MetricId g = reg.gauge("work.last");
-  constexpr std::size_t kN = 20000;
-  parallel_for(0, kN, [&](std::size_t i) {
-    reg.add(c, i % 3 + 1);
-    reg.set(g, 42);
-  });
-  std::uint64_t expected = 0;
-  for (std::size_t i = 0; i < kN; ++i) expected += i % 3 + 1;
-
-  const MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].name, "work.items");
-  EXPECT_EQ(snap.counters[0].value, expected);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].value, 42u);
-}
-
-TEST(MetricsRegistry, SnapshotSerializationIsDeterministic) {
-  // Two registries filled by identical multi-threaded workloads must
-  // serialize identically: shard merge order is creation order and metric
-  // order is registration order, so thread scheduling cannot reorder the
-  // output.
-  auto fill = [](MetricsRegistry& reg) {
-    const MetricId c0 = reg.counter("alpha");
-    const MetricId c1 = reg.counter("beta");
-    const MetricId h = reg.histogram("lat");
-    parallel_for(0, 5000, [&](std::size_t i) {
-      reg.add(c0, 1);
-      reg.add(c1, i % 7);
-      reg.observe(h, i * 13 + 1);
-    });
-    std::ostringstream out;
-    write_metrics_jsonl_line(out, reg.snapshot(), 3);
-    return out.str();
-  };
-  MetricsRegistry a, b;
-  const std::string sa = fill(a);
-  const std::string sb = fill(b);
-  EXPECT_EQ(sa, sb);
-  EXPECT_NE(sa.find("\"frame\":3"), std::string::npos);
-  EXPECT_NE(sa.find("\"alpha\":5000"), std::string::npos);
-  // One JSON object per line, newline-terminated (the JSONL contract).
-  EXPECT_EQ(sa.back(), '\n');
-  EXPECT_EQ(std::count(sa.begin(), sa.end(), '\n'), 1);
-}
-
-TEST(MetricsRegistry, HistogramShardsMergeToSerialReference) {
-  MetricsRegistry reg;
-  const MetricId h = reg.histogram("ns");
-  LogHistogram ref;
-  constexpr std::size_t kN = 8000;
-  for (std::size_t i = 0; i < kN; ++i) ref.record(i * i + 1);
-  parallel_for(0, kN, [&](std::size_t i) { reg.observe(h, i * i + 1); });
-
-  const MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  const LogHistogram& got = snap.histograms[0].hist;
-  EXPECT_EQ(got.count(), ref.count());
-  EXPECT_EQ(got.sum(), ref.sum());
-  EXPECT_EQ(got.min(), ref.min());
-  EXPECT_EQ(got.max(), ref.max());
-  for (const double q : {0.5, 0.95, 0.99}) {
-    EXPECT_EQ(got.percentile(q), ref.percentile(q));
-  }
-}
-
-TEST(MetricsRegistry, ResetZeroesValuesButKeepsNames) {
-  MetricsRegistry reg;
-  const MetricId c = reg.counter("c");
-  const MetricId h = reg.histogram("h");
-  reg.add(c, 5);
-  reg.observe(h, 100);
-  reg.reset();
-  const MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].value, 0u);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].hist.count(), 0u);
-  // Re-registering a name returns the same id.
-  EXPECT_EQ(reg.counter("c"), c);
 }
 
 // ------------------------------------------------------------------ tracing --
@@ -493,28 +406,82 @@ std::set<std::string> documented_metric_names() {
   return names;
 }
 
-TEST(MetricCatalog, EveryPublishedNameIsDocumented) {
-  publish_cache_stats({});
-  publish_stage_timings({});
-  publish_parallel_stats();
-  const auto scene = test_scene(44, 300);
-  TempFile file("/tmp/sgs_test_obs_catalog.sgsc");
-  ASSERT_TRUE(stream::AssetStore::write(file.path, scene));
-  stream::AssetStore store(file.path);
-  serve::SceneServer(store, {}).report();
+// Stage and cache counters with a distinct value per row (row index + base),
+// so a value written under the wrong name shows.
+core::StageTimingsNs numbered_stages(std::uint64_t base) {
+  core::StageTimingsNs st;
+  for (const auto& row : core::kStageFields) st.*row.scalar = base++;
+  return st;
+}
+core::StreamCacheStats numbered_cache(std::uint64_t base) {
+  core::StreamCacheStats cs;
+  for (const auto& row : core::kStreamCacheFields) {
+    if (row.scalar != nullptr) cs.*row.scalar = base++;
+  }
+  return cs;
+}
 
+std::string frame_metrics_line(std::uint64_t frame) {
+  std::ostringstream out;
+  write_frame_metrics_jsonl(out, frame, numbered_stages(100),
+                            numbered_cache(200));
+  return out.str();
+}
+
+// The gauge names of one metrics line, in written order.
+std::vector<std::string> gauge_names(const std::string& line) {
+  std::vector<std::string> names;
+  const std::string key = "\"gauges\":{";
+  std::size_t pos = line.find(key);
+  if (pos == std::string::npos) return names;
+  const std::size_t end = line.find('}', pos);
+  pos += key.size();
+  while (pos < end) {
+    const std::size_t open = line.find('"', pos);
+    const std::size_t close = line.find('"', open + 1);
+    if (open >= end || close >= end) break;
+    names.push_back(line.substr(open + 1, close - open - 1));
+    pos = line.find(',', close);
+    if (pos == std::string::npos) break;
+    ++pos;
+  }
+  return names;
+}
+
+TEST(FrameMetricsLine, OneDeterministicJsonlLinePerFrame) {
+  const std::string a = frame_metrics_line(3);
+  const std::string b = frame_metrics_line(3);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.rfind("{\"frame\":3,\"counters\":{},\"gauges\":{", 0), 0u);
+  EXPECT_NE(a.find("},\"histograms\":{}}"), std::string::npos);
+  // One JSON object per line, newline-terminated (the JSONL contract).
+  ASSERT_FALSE(a.empty());
+  EXPECT_EQ(a.back(), '\n');
+  EXPECT_EQ(std::count(a.begin(), a.end(), '\n'), 1);
+  // Each row's value lands under its own name.
+  EXPECT_NE(a.find("\"stage.plan_ns\":100,"), std::string::npos);
+  EXPECT_NE(a.find("\"stage.decode_ns\":106,"), std::string::npos);
+  EXPECT_NE(a.find("\"cache.hits\":200,"), std::string::npos);
+  EXPECT_NE(a.find("\"cache.abr_demotions\":212,"), std::string::npos);
+  EXPECT_NE(a.find("\"pool.parallelism\":" +
+                   std::to_string(parallelism()) + ","),
+            std::string::npos);
+}
+
+TEST(MetricCatalog, EmittedNamesEqualDocumentedSet) {
+  const std::vector<std::string> emitted = gauge_names(frame_metrics_line(0));
+  const std::set<std::string> emitted_set(emitted.begin(), emitted.end());
+  // 7 stage + 13 scalar cache rows + 3 pool + 2 async, none twice.
+  EXPECT_EQ(emitted.size(), 25u);
+  EXPECT_EQ(emitted_set.size(), emitted.size());
   const std::set<std::string> documented = documented_metric_names();
-  const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
-  std::vector<std::string> published;
-  for (const auto& c : snap.counters) published.push_back(c.name);
-  for (const auto& g : snap.gauges) published.push_back(g.name);
-  for (const auto& h : snap.histograms) published.push_back(h.name);
-  // Non-vacuous: both sides carry at least the 13 cache + 7 stage gauges.
-  ASSERT_GE(documented.size(), 20u);
-  ASSERT_GE(published.size(), 20u);
-  for (const std::string& name : published) {
+  for (const std::string& name : emitted_set) {
     EXPECT_TRUE(documented.count(name) != 0)
-        << name << " is published but missing from the metric catalog";
+        << name << " is written but missing from the metric catalog";
+  }
+  for (const std::string& name : documented) {
+    EXPECT_TRUE(emitted_set.count(name) != 0)
+        << name << " is in the metric catalog but never written";
   }
 }
 

@@ -85,10 +85,12 @@ check_contract "SoA kernel contract" src/gs/kernels.hpp \
   coarse_filter_batch fine_project_batch blend_survivor \
   gather_codebook_column kSimdAbsTolerance
 
-# 8. Observability: the metrics sink every subsystem publishes through and
+# 8. Observability: the latency histogram, the per-frame metrics line and
 #    the span-tracing surface the frame timeline is built from.
 check_contract "metrics contract" src/obs/metrics.hpp \
-  MetricsRegistry LogHistogram counter gauge histogram snapshot percentile
+  LogHistogram percentile
+check_contract "frame metrics contract" src/obs/publish.hpp \
+  write_frame_metrics_jsonl
 check_contract "trace contract" src/obs/trace.hpp \
   SGS_TRACE_SPAN SGS_TRACE_INSTANT TraceEvent set_trace_enabled \
   trace_collect write_chrome_trace set_thread_name
